@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-json bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10 bench-parallel bench-alloc benchstat golden
+.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10 bench-parallel bench-alloc benchstat golden
 
 check: vet build test race
 
@@ -32,7 +32,6 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzBindRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bind -run '^$$' -fuzz '^FuzzEvaluatorDifferential$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/bind -run '^$$' -fuzz '^FuzzDeltaEvaluatorDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codegen -run '^$$' -fuzz '^FuzzSpillRebind$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textio -run '^$$' -fuzz '^FuzzTextioRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textio -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -111,58 +110,36 @@ explore-smoke:
 	$(GO) test ./internal/explore -run 'TestFrontierMatchesBruteForce|TestDeterministicAcrossPar|TestOptimisticIsLowerBound' -count 1
 
 # Regenerate the paper's tables as benchmarks (L/M metrics per row) and
-# refresh the committed perf-trajectory file. The trajectory runs the
-# key delta-evaluation benchmarks — the per-candidate pair in
-# internal/problem and the full B-ITER on/off pairs in internal/bind —
-# and distills their medians into the benchstat-compatible
-# BENCH_pr6.json (see cmd/benchjson), gated on the PR's acceptance
-# floor: ≥3x per-candidate speedup on the delta-hit path and zero
-# allocs/op on it. CI checks the file is present and non-empty.
+# refresh the committed perf-trajectory files (see cmd/benchjson). The
+# pr6 trajectory measured only the retired incremental evaluator and is
+# no longer regenerated; BENCH_pr6.json stays as history. The
+# end-to-end B-ITER gate is perfbench's table-regen workload
+# (bind_geomean_ms), with serve-mix cold_p50_ms for cold binds.
 BENCHCOUNT ?= 6
-bench: bench-json bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10
+bench: bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10
 	$(GO) test -bench=. -benchmem
 
-bench-json:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(DeltaHit|FullPerturbed)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr6.txt
-	$(GO) test ./internal/bind -run '^$$' -bench 'BenchmarkBITER' -benchmem -benchtime 3x -count 3 >> /tmp/vliwbind-bench-pr6.txt
-	$(GO) run ./cmd/benchjson -o BENCH_pr6.json \
-		-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0' \
-		-zero 'BenchmarkEvaluateDeltaHit' \
-		/tmp/vliwbind-bench-pr6.txt
-	@echo "wrote BENCH_pr6.json"
-
-# Route-aware interconnect trajectory. Re-runs the shared-bus
-# delta-hit/full pair on the refactored evaluator — the pr6 gate passing
-# again on the new code is the no-regression proof against
-# BENCH_pr6.json (benchjson gates are within-file ratios, so the
-# cross-PR comparison is expressed by re-asserting the same floor) —
-# and adds the routed-topology evaluation benchmarks, which must stay
-# allocation-free like the shared-bus path.
+# Route-aware interconnect trajectory: the shared-bus virtual
+# evaluation plus the routed-topology evaluation benchmarks, all of
+# which must stay allocation-free.
 bench-json-pr7:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(DeltaHit|FullPerturbed|Virtual|Ring|P2P)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr7.txt
+	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(Virtual|Ring|P2P)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr7.txt
 	$(GO) run ./cmd/benchjson -o BENCH_pr7.json \
-		-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0' \
-		-zero 'BenchmarkEvaluateDeltaHit' \
+		-zero 'BenchmarkEvaluateVirtual' \
 		-zero 'BenchmarkEvaluateRing' \
 		-zero 'BenchmarkEvaluateP2P' \
 		/tmp/vliwbind-bench-pr7.txt
 	@echo "wrote BENCH_pr7.json"
 
-# Result-store trajectory. Re-asserts the pr6/pr7 delta-evaluation floor
-# on the current code (benchjson gates are within-file ratios, so the
-# cross-PR no-regression claim is the same floor passing again), then
-# gates the store itself: a served hit must be at least 8x cheaper than
+# Result-store trajectory: a served hit must be at least 8x cheaper than
 # a cold bind on the same kernel (measured ~24x), and the raw lookup on
 # a resident entry must be allocation-free.
 bench-json-pr8:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(DeltaHit|FullPerturbed)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr8.txt
-	$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkCanonicalize$$|BenchmarkStore(ResultKey|Lookup)$$' -benchmem -count $(BENCHCOUNT) >> /tmp/vliwbind-bench-pr8.txt
+	$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkCanonicalize$$|BenchmarkStore(ResultKey|Lookup)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr8.txt
 	$(GO) test . -run '^$$' -bench 'BenchmarkStore(ColdBind|Hit)$$' -benchmem -count $(BENCHCOUNT) >> /tmp/vliwbind-bench-pr8.txt
 	$(GO) run ./cmd/benchjson -o BENCH_pr8.json \
 		-gate 'BenchmarkStoreColdBind/BenchmarkStoreHit>=8.0' \
-		-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0' \
 		-zero 'BenchmarkStoreLookup' \
-		-zero 'BenchmarkEvaluateDeltaHit' \
 		/tmp/vliwbind-bench-pr8.txt
 	@echo "wrote BENCH_pr8.json"
 

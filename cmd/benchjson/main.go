@@ -12,8 +12,8 @@
 //
 // Gates turn the file into a regression tripwire:
 //
-//	-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0'
-//	-zero 'BenchmarkEvaluateDeltaHit'
+//	-gate 'BenchmarkStoreColdBind/BenchmarkStoreHit>=8.0'
+//	-zero 'BenchmarkStoreLookup'
 //
 // -gate requires the ratio of two benchmarks' median ns/op to meet a
 // floor; -zero requires a benchmark's median allocs/op to be exactly

@@ -78,11 +78,7 @@ func (r *Result) Moves() int { return r.Bound.NumMoves() }
 // problem.Evaluator instead, which computes the same (L, M) without
 // building a graph or a schedule per call.
 func Evaluate(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Result, error) {
-	bg, bb, err := BuildBound(g, binding)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.List(bg, dp, bb)
+	bg, bb, s, err := problem.Materialize(g, dp, binding)
 	if err != nil {
 		return nil, err
 	}

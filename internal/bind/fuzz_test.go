@@ -18,7 +18,7 @@ var evalFuzzDatapaths = []string{
 	"[2,2|1,1|2,1]",
 	"[1,1|1,1|1,1]@ring:1",
 	"[2,1|1,1]@p2p",
-	"[1,1|1,1|1,1|1,1]@ring:1", // multi-hop: full path only; delta capture refuses it
+	"[1,1|1,1|1,1|1,1]@ring:1", // multi-hop routes
 }
 
 // FuzzEvaluatorDifferential checks the central performance claim of the

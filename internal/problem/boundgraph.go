@@ -94,11 +94,7 @@ func BuildBound(g *dfg.Graph, binding []int) (*dfg.Graph, []int, error) {
 // list-schedules it — the expensive, allocation-heavy form of what
 // Evaluator.Evaluate computes virtually. Callers invoke it once per
 // solution they keep, never per candidate.
-func (p *Problem) Materialize(binding []int) (*dfg.Graph, []int, *sched.Schedule, error) {
-	return materialize(p.g, p.dp, binding)
-}
-
-func materialize(g *dfg.Graph, dp *machine.Datapath, binding []int) (*dfg.Graph, []int, *sched.Schedule, error) {
+func Materialize(g *dfg.Graph, dp *machine.Datapath, binding []int) (*dfg.Graph, []int, *sched.Schedule, error) {
 	bg, bb, err := BuildBound(g, binding)
 	if err != nil {
 		return nil, nil, nil, err

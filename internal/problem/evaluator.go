@@ -61,24 +61,14 @@ type Evaluator struct {
 	asap, alap []int32
 	earliest   []int32
 	start      []int32
-	unit       []int32 // global unit-pool index each node issued on
 	pending    []int32
 
 	ready, wake []int32
 	unitFree    []int32
 
-	lastL        int32
-	lastTarget   int32
-	lastOK       bool  // last Evaluate/EvaluateDelta completed successfully
-	lastBypassed int32 // sorted-loop issues bypassed by the last delta eval
-	profile      []int32
-	sorter       sort.Interface
-	eligN        int32 // eligible-prefix length for eligSorter (delta path)
-	eligSorter   sort.Interface
-
-	// delta is the scratch of EvaluateDelta (see delta.go), allocated on
-	// first use so evaluators that never go incremental pay nothing.
-	delta *replayState
+	lastL   int32
+	profile []int32
+	sorter  sort.Interface
 }
 
 // NewEvaluator creates an evaluator with scratch sized for the problem's
@@ -104,14 +94,12 @@ func (p *Problem) NewEvaluator() *Evaluator {
 		alap:      make([]int32, maxV),
 		earliest:  make([]int32, maxV),
 		start:     make([]int32, maxV),
-		unit:      make([]int32, maxV),
 		pending:   make([]int32, maxV),
 		ready:     make([]int32, 0, maxV),
 		wake:      make([]int32, 0, maxV),
 		unitFree:  make([]int32, p.unitPoolLen),
 	}
 	e.sorter = (*readyOrder)(e) // one interface value, reused by every sort
-	e.eligSorter = (*eligOrder)(e)
 	return e
 }
 
@@ -158,26 +146,8 @@ func (o *readyOrder) Len() int { return len(o.ready) }
 func (o *readyOrder) Swap(i, j int) { o.ready[i], o.ready[j] = o.ready[j], o.ready[i] }
 
 func (o *readyOrder) Less(i, j int) bool {
-	return (*Evaluator)(o).priorityLess(o.ready[i], o.ready[j])
-}
-
-// eligOrder sorts only the eligible prefix ready[:eligN]. The delta
-// path partitions the ops issuable this cycle to the front first (see
-// partitionEligible): ops whose earliest lies beyond the current cycle
-// cannot issue, so their order never affects a decision and sorting
-// them is wasted work.
-type eligOrder Evaluator
-
-func (o *eligOrder) Len() int { return int(o.eligN) }
-
-func (o *eligOrder) Swap(i, j int) { o.ready[i], o.ready[j] = o.ready[j], o.ready[i] }
-
-func (o *eligOrder) Less(i, j int) bool {
-	return (*Evaluator)(o).priorityLess(o.ready[i], o.ready[j])
-}
-
-// priorityLess is the paper's priority ranking on two virtual nodes.
-func (e *Evaluator) priorityLess(a, b int32) bool {
+	e := (*Evaluator)(o)
+	a, b := e.ready[i], e.ready[j]
 	if e.alap[a] != e.alap[b] {
 		return e.alap[a] < e.alap[b]
 	}
@@ -197,8 +167,6 @@ func (e *Evaluator) priorityLess(a, b int32) bool {
 // start cycles) remain readable via AppendQualityU / AppendStarts until
 // the next Evaluate on this evaluator.
 func (e *Evaluator) Evaluate(bn []int) (Eval, error) {
-	e.lastOK = false
-	e.lastBypassed = 0
 	if err := e.validate(bn); err != nil {
 		return Eval{}, err
 	}
@@ -206,14 +174,11 @@ func (e *Evaluator) Evaluate(bn []int) (Eval, error) {
 		return Eval{}, err
 	}
 	e.buildSucc()
-	target := e.computeWindows()
-	unscheduled, L := e.resetSchedule()
-	L, err := e.scheduleFrom(0, target, unscheduled, L, nil)
+	L, err := e.schedule(e.computeWindows())
 	if err != nil {
 		return Eval{}, err
 	}
-	e.lastL, e.lastTarget = L, target
-	e.lastOK = true
+	e.lastL = L
 	return Eval{L: int(L), M: e.nMoves}, nil
 }
 
@@ -368,10 +333,11 @@ func (e *Evaluator) computeWindows() int32 {
 	return target
 }
 
-// resetSchedule initializes phase-3 state for a from-scratch schedule:
-// clear resource tables, no node issued, sources ready (ALAP-held when
-// they are loads). Returns the unscheduled count and the initial L.
-func (e *Evaluator) resetSchedule() (unscheduled, L int32) {
+// schedule is phase 3: the list-scheduling cycle loop, mirroring
+// sched.List cycle for cycle. It starts from clear resource tables with
+// no node issued and the sources ready (ALAP-held when they are loads),
+// and returns the schedule latency.
+func (e *Evaluator) schedule(target int32) (int32, error) {
 	p := e.p
 	nv := int32(e.nv)
 	for i := range e.unitFree {
@@ -390,41 +356,13 @@ func (e *Evaluator) resetSchedule() (unscheduled, L int32) {
 			e.ready = append(e.ready, k)
 		}
 	}
-	return nv, 0
-}
-
-// scheduleFrom is phase 3: the list-scheduling cycle loop, mirroring
-// sched.List cycle for cycle. A full evaluation enters with first == 0
-// and resetSchedule's state; a delta replay (see delta.go) enters at the
-// first cycle any perturbed node could issue, with the incumbent's
-// prefix state already installed and a non-nil replay tracker. The
-// tracker observes issues and may terminate the loop early by
-// fast-forwarding from the incumbent — it never influences which node
-// issues where, so the decision sequence is the full path's by
-// construction.
-func (e *Evaluator) scheduleFrom(first, target, unscheduled, L int32, rp *replayState) (int32, error) {
-	p := e.p
+	unscheduled, L := nv, int32(0)
 	totalWork := p.baseWork + e.moveWork
-	for cycle := first; unscheduled > 0; cycle++ {
+	for cycle := int32(0); unscheduled > 0; cycle++ {
 		if cycle > target+totalWork+1 {
 			return 0, fmt.Errorf("problem: no progress by cycle %d; resource model inconsistent", cycle)
 		}
-		if rp != nil {
-			rp.atCycleTop(e, cycle)
-			if rp.converged(e, cycle) {
-				return rp.fastForward(e, cycle, L), nil
-			}
-			ne := rp.partitionEligible(e, cycle)
-			if n, nl, ok := rp.oracleAdvance(e, cycle, L, ne); ok {
-				unscheduled -= n
-				L = nl
-				continue
-			}
-			e.eligN = ne
-			sort.Sort(e.eligSorter)
-		} else {
-			sort.Sort(e.sorter)
-		}
+		sort.Sort(e.sorter)
 		issuedAny := true
 		for issuedAny {
 			issuedAny = false
@@ -437,14 +375,11 @@ func (e *Evaluator) scheduleFrom(first, target, unscheduled, L int32, rp *replay
 					continue
 				}
 				if e.vIsMove[k] {
-					ch := e.reserveMove(k, cycle)
-					if ch < 0 {
+					if !e.reserveMove(k, cycle) {
 						e.ready[w] = k
 						w++
 						continue
 					}
-					e.start[k] = cycle
-					e.unit[k] = ch
 				} else {
 					key := e.vCluster[k]*int32(dfg.NumFUTypes) + p.fut[e.vID[k]]
 					pool := e.unitFree[p.poolOff[key] : p.poolOff[key]+p.poolLen[key]]
@@ -455,12 +390,8 @@ func (e *Evaluator) scheduleFrom(first, target, unscheduled, L int32, rp *replay
 						continue
 					}
 					pool[u] = cycle + e.diiOf(k)
-					e.start[k] = cycle
-					e.unit[k] = p.poolOff[key] + int32(u)
 				}
-				if rp != nil {
-					rp.onIssue(e, k, cycle, e.unit[k])
-				}
+				e.start[k] = cycle
 				if fin := cycle + e.latOf(k); fin > L {
 					L = fin
 				}
@@ -479,23 +410,11 @@ func (e *Evaluator) scheduleFrom(first, target, unscheduled, L int32, rp *replay
 							ev = e.alap[s]
 						}
 						e.earliest[s] = ev
-						if rp != nil {
-							rp.noteReady(e, s)
-						}
 						e.wake = append(e.wake, s)
 					}
 				}
 			}
 			e.ready = append(e.ready[:w], e.wake...)
-			if rp != nil {
-				// Every latency and DII is ≥ 1 (machine.New enforces
-				// it), so an issue never frees a unit nor wakes a
-				// successor within its own cycle: a second pass cannot
-				// issue anything. The full path keeps the extra pass to
-				// mirror sched.List literally; it issues nothing and
-				// its re-sort changes no decision.
-				break
-			}
 			if issuedAny {
 				sort.Sort(e.sorter)
 			}
@@ -504,57 +423,46 @@ func (e *Evaluator) scheduleFrom(first, target, unscheduled, L int32, rp *replay
 	return L, nil
 }
 
-// moveEndpoints returns the source and destination clusters of virtual
-// move k: the destination is its own cluster, the source its single
-// producer's.
-func (e *Evaluator) moveEndpoints(k int32) (src, dst int32) {
-	return e.vCluster[e.preds[e.predStart[k]]], e.vCluster[k]
-}
-
 // reserveMove books the interconnect channels move k needs to issue at
-// cycle and returns the global unit index of its first hop, or -1
-// leaving no state touched when some hop's link is full. Hop h occupies
+// cycle and reports whether it could, leaving no state touched when
+// some hop's link is full. Hop h occupies
 // one channel of its link during [cycle+h·MoveLat, +MoveDII) —
 // store-and-forward, mirroring sched.List. Single-hop routes (every
 // route on bus and p2p machines, and all of them on rings of up to
 // three clusters) take the exact pre-interconnect fast path: one
 // freeUnit32 probe and commit against the link's slice of unitFree,
 // which for the shared bus is the whole legacy bus pool.
-func (e *Evaluator) reserveMove(k, cycle int32) int32 {
+func (e *Evaluator) reserveMove(k, cycle int32) bool {
 	p := e.p
-	src, dst := e.moveEndpoints(k)
-	route := p.routeOf(src, dst)
+	// The destination is the move's own cluster, the source its single
+	// producer's.
+	route := p.routeOf(e.vCluster[e.preds[e.predStart[k]]], e.vCluster[k])
 	if len(route) == 1 {
 		l := route[0]
 		base := p.busOff + p.linkOff[l]
 		pool := e.unitFree[base : base+p.linkCap[l]]
 		u := freeUnit32(pool, cycle)
 		if u < 0 {
-			return -1
+			return false
 		}
 		pool[u] = cycle + p.moveDII
-		return base + int32(u)
+		return true
 	}
 	// All hops reserve together or not at all; shortest-path routes never
 	// repeat a link, so the feasibility probes are independent.
 	for h, l := range route {
 		base := p.busOff + p.linkOff[l]
 		if freeUnit32(e.unitFree[base:base+p.linkCap[l]], cycle+int32(h)*p.moveLat) < 0 {
-			return -1
+			return false
 		}
 	}
-	ch := int32(-1)
 	for h, l := range route {
 		base := p.busOff + p.linkOff[l]
 		pool := e.unitFree[base : base+p.linkCap[l]]
 		at := cycle + int32(h)*p.moveLat
-		u := freeUnit32(pool, at)
-		pool[u] = at + p.moveDII
-		if h == 0 {
-			ch = base + int32(u)
-		}
+		pool[freeUnit32(pool, at)] = at + p.moveDII
 	}
-	return ch
+	return true
 }
 
 // freeUnit32 is sched.List's unit selection: the unit free at the cycle

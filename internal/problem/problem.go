@@ -67,13 +67,10 @@ type Problem struct {
 	linkCap     []int32
 
 	// Flattened route table: a transfer from cluster src to dst hops
-	// across routeLinks[routeStart[k]:routeStart[k+1]], k = src*clusters
-	// +dst. multiHop marks machines where some route exceeds one hop;
-	// incremental snapshots refuse those (see Snapshot.Capture) and the
-	// engine falls back to full evaluation.
+	// across routeLinks[routeStart[k]:routeStart[k+1]],
+	// k = src*clusters+dst.
 	routeStart []int32
 	routeLinks []int32
-	multiHop   bool
 
 	moveLat, moveDII int32
 	// baseWork is Σ (dii+lat) over the original nodes — the move-free part
@@ -199,7 +196,6 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		}
 	}
 	p.routeStart[p.clusters*p.clusters] = int32(len(p.routeLinks))
-	p.multiHop = dp.MultiHop()
 	return p, nil
 }
 

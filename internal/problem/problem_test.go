@@ -271,7 +271,7 @@ func TestMaterializeAgreesWithEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, bb, s, err := p.Materialize(bn)
+	bg, bb, s, err := Materialize(g, dp, bn)
 	if err != nil {
 		t.Fatal(err)
 	}

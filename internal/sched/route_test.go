@@ -133,7 +133,7 @@ func TestUnroutableMove(t *testing.T) {
 // bit-identity proof: on bus machines, the route-aware List and the
 // frozen pre-interconnect ListScalarRef must produce deeply equal
 // schedules (same starts, units, finishes and profile). The full
-// five-binder sweep version lives in internal/expt.
+// five-binder sweep version is TestSharedBusMatchesScalarReference.
 func TestScalarRefDifferential(t *testing.T) {
 	mg, _ := moveGraph(t)
 	cases := []struct {

@@ -13,8 +13,9 @@ import (
 // one scalar pool of NumBuses() interchangeable channels and always
 // take lat(move), with no notion of links or routes. It exists for one
 // purpose — the differential proof that the shared-bus fast path of the
-// route-aware List is bit-identical to the legacy behavior (see the
-// five-binder sweep in internal/expt) — and is only meaningful on
+// route-aware List is bit-identical to the legacy behavior (see
+// TestScalarRefDifferential and the five-binder sweep in
+// TestSharedBusMatchesScalarReference) — and is only meaningful on
 // machines whose topology is TopoBus, where "a channel" and "a channel
 // of the one shared link" coincide. Do not fix or improve this copy;
 // its value is that it does not change.

@@ -461,8 +461,7 @@ func Check(s *Schedule) error {
 	// [start, start+dii-1]; no other node may hold the same unit in any of
 	// those cycles. With unit indices validated against pool sizes above,
 	// per-unit exclusivity subsumes the aggregate per-type capacity bound.
-	// Occupancy is tracked in a dense per-unit × per-cycle bitset — the
-	// same resource mirror incremental evaluation snapshots use — so a
+	// Occupancy is tracked in a dense per-unit × per-cycle bitset, so a
 	// clash probe is one masked word test instead of a map lookup.
 	rowOf, rows := unitRows(dp)
 	moveLat := dp.MoveLat()
