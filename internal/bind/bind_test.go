@@ -5,6 +5,7 @@ import (
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
+	"vliwbind/internal/problem"
 	"vliwbind/internal/sched"
 )
 
@@ -28,7 +29,7 @@ func TestBoundDFGFigure1(t *testing.T) {
 
 	// v1, v2 on cluster 0; v3, v4 on cluster 1: cross edges v2->v3 and
 	// v1->v4 each need a move into cluster 1.
-	bg, bb, err := BuildBound(g, []int{0, 0, 1, 1})
+	bg, bb, err := problem.BuildBound(g, []int{0, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestBuildBoundDedupsPerCluster(t *testing.T) {
 	b.Output(c1)
 	b.Output(c2)
 	g := b.Graph()
-	bg, _, err := BuildBound(g, []int{0, 1, 1})
+	bg, _, err := problem.BuildBound(g, []int{0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestBuildBoundDedupsPerCluster(t *testing.T) {
 	// Two different foreign clusters: two moves.
 	dp3 := machine.MustParse("[1,1|1,1|1,1]", machine.Config{})
 	_ = dp3
-	bg2, _, err := BuildBound(g, []int{0, 1, 2})
+	bg2, _, err := problem.BuildBound(g, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBuildBoundNoMovesSameCluster(t *testing.T) {
 	w := b.Neg(v)
 	b.Output(w)
 	g := b.Graph()
-	bg, bb, err := BuildBound(g, []int{1, 1})
+	bg, bb, err := problem.BuildBound(g, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +127,14 @@ func TestBuildBoundErrors(t *testing.T) {
 	m := b.Move(v)
 	b.Output(b.Neg(m))
 	g := b.Graph()
-	if _, _, err := BuildBound(g, []int{0, 0, 0}); err == nil {
+	if _, _, err := problem.BuildBound(g, []int{0, 0, 0}); err == nil {
 		t.Error("BuildBound accepted an already-bound graph")
 	}
 	b2 := dfg.NewBuilder("e2")
 	x2 := b2.Input("x")
 	b2.Output(b2.Neg(x2))
 	g2 := b2.Graph()
-	if _, _, err := BuildBound(g2, []int{0, 0}); err == nil {
+	if _, _, err := problem.BuildBound(g2, []int{0, 0}); err == nil {
 		t.Error("BuildBound accepted a mis-sized binding")
 	}
 }
@@ -147,7 +148,7 @@ func TestBuildBoundMoveNameCollision(t *testing.T) {
 	c := b.Named("c", dfg.OpAdd, 0, p, y)
 	b.Output(c)
 	g := b.Graph()
-	bg, _, err := BuildBound(g, []int{0, 1})
+	bg, _, err := problem.BuildBound(g, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +693,7 @@ func TestBuildBoundPreservesOutputOrder(t *testing.T) {
 	b.Output(second) // marked before first
 	b.Output(first)
 	g := b.Graph()
-	bg, _, err := BuildBound(g, []int{0, 1})
+	bg, _, err := problem.BuildBound(g, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

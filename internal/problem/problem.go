@@ -4,13 +4,12 @@
 // analysis the binding algorithms otherwise re-derive per candidate:
 // topological order, critical path, ASAP/ALAP levels and mobility,
 // consumer counts, longest-path heights, per-node latencies and
-// data-introduction intervals, producer adjacency in flat slices, and
-// the functional-unit pool layout of the machine.
+// data-introduction intervals, and producer adjacency in flat slices.
 //
-// An Evaluator (see evaluator.go) owns reusable scratch buffers and
-// answers the inner question of every binding algorithm — "what (L, M)
-// does this candidate binding schedule to?" — without materializing a
-// bound graph or a Schedule per call. The full bound graph is only
+// An Evaluator (see evaluator.go) owns reusable scratch buffers, among
+// them its own sched.Core, and answers the inner question of every
+// binding algorithm — "what (L, M) does this candidate binding schedule
+// to?" — without materializing a bound graph or a Schedule per call. The full bound graph is only
 // built, via Materialize, for the solutions a caller actually keeps.
 package problem
 
@@ -19,6 +18,7 @@ import (
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
+	"vliwbind/internal/sched"
 )
 
 // Problem is an immutable (graph, datapath) pair with all binding-
@@ -34,11 +34,10 @@ type Problem struct {
 	order    []int32 // node IDs in topological order
 
 	// Per-node operation attributes, indexed by node ID.
-	lat    []int32 // dp.Latency(op)
-	dii    []int32 // dp.DII(op)
-	fut    []int32 // dfg.FUTypeOf(op)
-	isLoad []bool  // op == OpLoad (spill reloads are ALAP-held by the scheduler)
-	output []bool  // node is live-out
+	lat   []int32      // dp.Latency(op)
+	dii   []int32      // dp.DII(op)
+	fut   []dfg.FUType // dfg.FUTypeOf(op)
+	flags []uint8      // sched.NodeHold for spill reloads, sched.NodeLiveOut
 
 	// Producer adjacency in CSR form: the distinct producers of node id,
 	// in first-use order, are preds[predStart[id]:predStart[id+1]].
@@ -47,35 +46,11 @@ type Problem struct {
 	preds     []int32
 
 	// Analysis of the original graph under dp's latency model.
-	lcp    int      // critical path L_CP
+	lcp    int        // critical path L_CP
 	times  *dfg.Times // ASAP/ALAP at the critical path
-	height []int32  // longest path (in latency) from each node to any sink
-
-	// Functional-unit pool layout: compute units of cluster c and FU
-	// type t occupy poolOff[c*NumFUTypes+t] .. +poolLen[...]; the
-	// interconnect channels sit at busOff, partitioned by link (channels
-	// of link l start at busOff+linkOff[l] and are linkCap[l] wide — on
-	// the shared bus that single partition is the whole legacy bus
-	// pool). unitPoolLen is the total pool size an Evaluator's scratch
-	// must hold.
-	poolOff     []int32
-	poolLen     []int32
-	busOff      int32
-	unitPoolLen int
-	numBuses    int32
-	linkOff     []int32
-	linkCap     []int32
-
-	// Flattened route table: a transfer from cluster src to dst hops
-	// across routeLinks[routeStart[k]:routeStart[k+1]],
-	// k = src*clusters+dst.
-	routeStart []int32
-	routeLinks []int32
+	height []int32    // longest path (in latency) from each node to any sink
 
 	moveLat, moveDII int32
-	// baseWork is Σ (dii+lat) over the original nodes — the move-free part
-	// of the scheduler's stall-guard bound.
-	baseWork int32
 }
 
 // MaxClusters is the largest cluster count a Problem accepts. The bound
@@ -111,9 +86,8 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		order:     make([]int32, 0, n),
 		lat:       make([]int32, n),
 		dii:       make([]int32, n),
-		fut:       make([]int32, n),
-		isLoad:    make([]bool, n),
-		output:    make([]bool, n),
+		fut:       make([]dfg.FUType, n),
+		flags:     make([]uint8, n),
 		predStart: make([]int32, n+1),
 		moveLat:   int32(dp.MoveLat()),
 		moveDII:   int32(dp.MoveDII()),
@@ -130,10 +104,13 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		id := nd.ID()
 		p.lat[id] = int32(dp.Latency(nd.Op()))
 		p.dii[id] = int32(dp.DII(nd.Op()))
-		p.fut[id] = int32(nd.FUType())
-		p.isLoad[id] = nd.Op() == dfg.OpLoad
-		p.output[id] = nd.IsOutput()
-		p.baseWork += p.dii[id] + p.lat[id]
+		p.fut[id] = nd.FUType()
+		if nd.Op() == dfg.OpLoad {
+			p.flags[id] |= sched.NodeHold
+		}
+		if nd.IsOutput() {
+			p.flags[id] |= sched.NodeLiveOut
+		}
 	}
 	// CSR in node-ID order so preds(id) indexes directly.
 	for id := 0; id < n; id++ {
@@ -160,50 +137,7 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		}
 	}
 
-	// Pool layout for the virtual scheduler.
-	p.poolOff = make([]int32, p.clusters*dfg.NumFUTypes)
-	p.poolLen = make([]int32, p.clusters*dfg.NumFUTypes)
-	off := int32(0)
-	for c := 0; c < p.clusters; c++ {
-		for t := 1; t < dfg.NumFUTypes; t++ {
-			ft := dfg.FUType(t)
-			if ft == dfg.FUBus {
-				continue
-			}
-			k := c*dfg.NumFUTypes + t
-			p.poolOff[k] = off
-			p.poolLen[k] = int32(dp.NumFU(c, ft))
-			off += p.poolLen[k]
-		}
-	}
-	p.busOff = off
-	p.unitPoolLen = int(off) + dp.NumBuses()
-	p.numBuses = int32(dp.NumBuses())
-	p.linkOff = make([]int32, dp.NumLinks())
-	p.linkCap = make([]int32, dp.NumLinks())
-	for l := 0; l < dp.NumLinks(); l++ {
-		p.linkOff[l] = int32(dp.LinkOffset(l))
-		p.linkCap[l] = int32(dp.LinkCapacity(l))
-	}
-	p.routeStart = make([]int32, p.clusters*p.clusters+1)
-	for src := 0; src < p.clusters; src++ {
-		for dst := 0; dst < p.clusters; dst++ {
-			k := src*p.clusters + dst
-			p.routeStart[k] = int32(len(p.routeLinks))
-			for _, l := range dp.Route(src, dst) {
-				p.routeLinks = append(p.routeLinks, int32(l))
-			}
-		}
-	}
-	p.routeStart[p.clusters*p.clusters] = int32(len(p.routeLinks))
 	return p, nil
-}
-
-// routeOf returns the hop links of a src→dst transfer (empty when
-// src == dst or no route exists).
-func (p *Problem) routeOf(src, dst int32) []int32 {
-	k := src*int32(p.clusters) + dst
-	return p.routeLinks[p.routeStart[k]:p.routeStart[k+1]]
 }
 
 // Must is New for callers that know their inputs are valid (tests,

@@ -143,6 +143,51 @@ func TestEvaluatorMatchesOnRandomGraphs(t *testing.T) {
 	}
 }
 
+// TestEvaluatorMatchesOnSpillReload covers the reload hold: codegen's
+// spill stores a value right after its producer (OpStore) and reloads it
+// before a late consumer (OpLoad), and the scheduler holds the reload to
+// its ALAP level. Every binding of such a graph on two clusters must
+// evaluate as the materialized path does.
+func TestEvaluatorMatchesOnSpillReload(t *testing.T) {
+	b := dfg.NewBuilder("spill")
+	x, y := b.Input("x"), b.Input("y")
+	v := b.Named("v", dfg.OpAdd, 0, x, y)
+	st := b.Named("v.st", dfg.OpStore, 0, v)
+	w := v
+	for i := 0; i < 4; i++ {
+		w = b.Mul(w, x)
+	}
+	ld := b.Named("v.ld1", dfg.OpLoad, 0, st)
+	b.Output(b.Add(ld, w))
+	g := b.Graph()
+	dp := machine.MustParse("[1,1|1,1]", machine.Config{})
+	p, err := New(g, dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := p.NewEvaluator()
+	bn := make([]int, g.NumNodes())
+	for mask := 0; mask < 1<<len(bn); mask++ {
+		for i := range bn {
+			bn[i] = mask >> i & 1
+		}
+		checkAgainstMaterialized(t, ev, bn)
+	}
+	// On one cluster the reload's operand is ready long before its ALAP
+	// level, so the hold is what sets its start.
+	for i := range bn {
+		bn[i] = 0
+	}
+	s, err := sched.List(g, dp, bn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Start[ld.Node().ID()] <= s.Finish(st.Node()) {
+		t.Fatalf("reload starts at %d, right when its store finishes (%d): no ALAP hold",
+			s.Start[ld.Node().ID()], s.Finish(st.Node()))
+	}
+}
+
 // TestEvaluatorRejectsBadBindings pins the validation behavior the
 // binding algorithms rely on.
 func TestEvaluatorRejectsBadBindings(t *testing.T) {

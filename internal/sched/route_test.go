@@ -160,3 +160,27 @@ func TestScalarRefDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestSameClusterMoveTakesLinkZero pins List's one special case for a
+// degenerate move whose producer and destination share a cluster — a
+// shape binding never produces but a hand-built bound graph can: it
+// keeps the scalar-bus behavior of one hop on a channel of link 0, and
+// the independent checker accepts the result.
+func TestSameClusterMoveTakesLinkZero(t *testing.T) {
+	g, mn := moveGraph(t)
+	dp := machine.MustParse("[1,1|1,1|1,1|1,1]", machine.Config{Topology: machine.TopoRing})
+	s := mustList(t, g, dp, []int{2, 2, 2}) // mustList also runs Check
+	if s.HopUnits != nil {
+		t.Errorf("HopUnits = %v, want nil for a one-hop move", s.HopUnits)
+	}
+	if l := dp.LinkOfChannel(s.Unit[mn.ID()]); l != 0 {
+		t.Errorf("same-cluster move on channel %d of link %d (%s), want link 0",
+			s.Unit[mn.ID()], l, dp.LinkName(l))
+	}
+	if got := s.Finish(mn) - s.Start[mn.ID()]; got != dp.MoveLat() {
+		t.Errorf("same-cluster move latency = %d, want one hop (%d)", got, dp.MoveLat())
+	}
+	if occ := s.LinkOccupancy(); occ[0] != 1 {
+		t.Errorf("link occupancy = %v, want one reservation on link 0", occ)
+	}
+}

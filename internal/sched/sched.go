@@ -9,7 +9,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -126,7 +125,7 @@ func (s *Schedule) CompletionProfile(depth int) []int {
 // binding. binding[id] gives the cluster of each node; for moves it names
 // the destination cluster. Priorities follow the paper's ranking: ALAP
 // level first, then mobility, then consumer count, with node ID as the
-// deterministic tiebreak.
+// deterministic tiebreak. The scheduling itself is the Core's.
 func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) {
 	if len(binding) != g.NumNodes() {
 		return nil, fmt.Errorf("sched: binding has %d entries for %d nodes", len(binding), g.NumNodes())
@@ -134,8 +133,11 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 	// routes[id] is the hop list (link ids) each move traverses under
 	// this binding; resolved once up front so routing failures surface
 	// as errors before any scheduling work.
-	routes := make([][]int, g.NumNodes())
-	for _, n := range g.Nodes() {
+	nodes := g.Nodes()
+	routes := make([][]int, len(nodes))
+	edges := 0
+	for _, n := range nodes {
+		edges += len(n.Preds())
 		c := binding[n.ID()]
 		if c < 0 || c >= dp.NumClusters() {
 			return nil, fmt.Errorf("sched: node %s bound to invalid cluster %d", n.Name(), c)
@@ -157,31 +159,32 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 		}
 	}
 
-	moveLat, moveDII := dp.MoveLat(), dp.MoveDII()
-	// latOf charges moves MoveLat per hop; on single-hop machines this is
-	// exactly dp.Latency, so ASAP/ALAP levels — and with them every
-	// priority decision — match the scalar-bus scheduler bit for bit.
-	latOf := func(n *dfg.Node) int {
-		if n.IsMove() {
-			return len(routes[n.ID()]) * moveLat
+	core := NewCore(dp, len(nodes), edges)
+	for _, n := range nodes {
+		var flags uint8
+		if n.Op() == dfg.OpLoad {
+			flags |= NodeHold
 		}
-		return dp.Latency(n.Op())
+		if n.IsOutput() {
+			flags |= NodeLiveOut
+		}
+		if route := routes[n.ID()]; n.IsMove() {
+			// A move pays MoveLat per hop of its route; on single-hop
+			// machines that is exactly dp.Latency.
+			core.AddNode(int32(len(route)*dp.MoveLat()), int32(dp.MoveDII()), flags|NodeMove)
+			for _, l := range route {
+				core.AddHop(int32(l))
+			}
+		} else {
+			core.AddNode(int32(dp.Latency(n.Op())), int32(dp.DII(n.Op())), flags)
+			core.AddHop(core.UnitPool(binding[n.ID()], n.FUType()))
+		}
+		for _, p := range n.Preds() {
+			core.AddPred(int32(p.ID()))
+		}
 	}
-	times := dfg.AnalyzeNodes(g, latOf, 0)
-	nodes := g.Nodes()
-	// prio sorts candidate nodes for each cycle; smaller is more urgent.
-	less := func(a, b *dfg.Node) bool {
-		if times.ALAP[a.ID()] != times.ALAP[b.ID()] {
-			return times.ALAP[a.ID()] < times.ALAP[b.ID()]
-		}
-		ma, mb := times.Mobility(a), times.Mobility(b)
-		if ma != mb {
-			return ma < mb
-		}
-		if a.NumConsumers() != b.NumConsumers() {
-			return a.NumConsumers() > b.NumConsumers()
-		}
-		return a.ID() < b.ID()
+	if err := core.Run(); err != nil {
+		return nil, err
 	}
 
 	s := &Schedule{
@@ -190,172 +193,38 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 		Start:    make([]int, len(nodes)),
 		Cluster:  append([]int(nil), binding...),
 		Unit:     make([]int, len(nodes)),
+		L:        int(core.L()),
 		finish:   make([]int, len(nodes)),
 	}
-	for i := range s.Start {
-		s.Start[i] = -1
-		s.finish[i] = -1
-	}
-
-	// unitFree[c][t] lists, per functional unit, the first cycle at which
-	// it can issue again. chanFree is the same for interconnect channels,
-	// laid out globally and partitioned by link (dp.LinkOffset); on the
-	// shared bus the single link's partition is the whole pool, which is
-	// the pre-interconnect busFree array unchanged.
-	unitFree := make([][][]int, dp.NumClusters())
-	for c := range unitFree {
-		unitFree[c] = make([][]int, dfg.NumFUTypes)
-		for t := 1; t < dfg.NumFUTypes; t++ {
-			ft := dfg.FUType(t)
-			if ft == dfg.FUBus {
-				continue
-			}
-			unitFree[c][t] = make([]int, dp.NumFU(c, ft))
-		}
-	}
-	chanFree := make([]int, dp.NumBuses())
-	linkPool := func(l int) []int {
-		off := dp.LinkOffset(l)
-		return chanFree[off : off+dp.LinkCapacity(l)]
-	}
-
-	unscheduled := len(nodes)
-	pendingPreds := make([]int, len(nodes))
-	ready := make([]*dfg.Node, 0, len(nodes))
-	// earliest[id] is the data-ready cycle of a node whose preds have all
-	// been scheduled. Spill reloads (OpLoad) are additionally held back
-	// to their ALAP level — reloading as late as dependences allow is
-	// what makes a spill actually shorten its value's register residency.
-	earliest := make([]int, len(nodes))
 	for _, n := range nodes {
-		pendingPreds[n.ID()] = len(n.Preds())
-		if pendingPreds[n.ID()] == 0 {
-			if n.Op() == dfg.OpLoad {
-				earliest[n.ID()] = times.ALAP[n.ID()]
+		id := n.ID()
+		s.Start[id] = int(core.Start(id))
+		s.finish[id] = s.Start[id] + int(core.lat[id])
+		units, route := core.Units(id), routes[id]
+		if !n.IsMove() {
+			s.Unit[id] = int(units[0])
+			continue
+		}
+		// Moves record global channels: hop h took unit units[h] of link
+		// route[h]. Only multi-hop moves fill HopUnits.
+		for h, l := range route {
+			ch := dp.LinkOffset(l) + int(units[h])
+			if h == 0 {
+				s.Unit[id] = ch
 			}
-			ready = append(ready, n)
-		}
-	}
-
-	// Deterministic stall guard bound: every op eventually issues because
-	// each has at least one supporting unit (and every move a nonempty
-	// route), so the schedule length is bounded by the critical path plus
-	// the sum of all per-hop dii and latency values.
-	work := 0
-	for _, n := range g.Nodes() {
-		if n.IsMove() {
-			work += len(routes[n.ID()]) * (moveDII + moveLat)
-		} else {
-			work += dp.DII(n.Op()) + dp.Latency(n.Op())
-		}
-	}
-	for cycle := 0; unscheduled > 0; cycle++ {
-		if cycle > times.L+work+1 {
-			return nil, fmt.Errorf("sched: no progress by cycle %d; resource model inconsistent", cycle)
-		}
-		sort.SliceStable(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-		issuedAny := true
-		for issuedAny {
-			issuedAny = false
-			var rest, newlyReady []*dfg.Node
-			for _, n := range ready {
-				if earliest[n.ID()] > cycle {
-					rest = append(rest, n)
-					continue
+			if len(route) > 1 {
+				if s.HopUnits == nil {
+					s.HopUnits = make([][]int, len(nodes))
 				}
-				if n.IsMove() {
-					route := routes[n.ID()]
-					// Hop h occupies a channel of link route[h] during
-					// [cycle+h·MoveLat, +MoveDII) — store-and-forward with
-					// no stop-over in intermediate register files. All hops
-					// reserve together or not at all; shortest-path routes
-					// never repeat a link, so the per-hop feasibility
-					// probes are independent.
-					ok := true
-					for h, l := range route {
-						if freeUnit(linkPool(l), cycle+h*moveLat) < 0 {
-							ok = false
-							break
-						}
-					}
-					if !ok {
-						rest = append(rest, n)
-						continue
-					}
-					for h, l := range route {
-						pool := linkPool(l)
-						at := cycle + h*moveLat
-						u := freeUnit(pool, at)
-						pool[u] = at + moveDII
-						ch := dp.LinkOffset(l) + u
-						if h == 0 {
-							s.Unit[n.ID()] = ch
-						}
-						if len(route) > 1 {
-							if s.HopUnits == nil {
-								s.HopUnits = make([][]int, len(nodes))
-							}
-							s.HopUnits[n.ID()] = append(s.HopUnits[n.ID()], ch)
-						}
-					}
-				} else {
-					pool := unitFree[binding[n.ID()]][n.FUType()]
-					u := freeUnit(pool, cycle)
-					if u < 0 {
-						rest = append(rest, n)
-						continue
-					}
-					pool[u] = cycle + dp.DII(n.Op())
-					s.Unit[n.ID()] = u
-				}
-				s.Start[n.ID()] = cycle
-				fin := cycle + latOf(n)
-				s.finish[n.ID()] = fin
-				if fin > s.L {
-					s.L = fin
-				}
-				unscheduled--
-				issuedAny = true
-				for _, succ := range n.Succs() {
-					pendingPreds[succ.ID()]--
-					if pendingPreds[succ.ID()] == 0 {
-						e := 0
-						for _, p := range succ.Preds() {
-							if f := s.Start[p.ID()] + latOf(p); f > e {
-								e = f
-							}
-						}
-						if succ.Op() == dfg.OpLoad && times.ALAP[succ.ID()] > e {
-							e = times.ALAP[succ.ID()]
-						}
-						earliest[succ.ID()] = e
-						newlyReady = append(newlyReady, succ)
-					}
-				}
-			}
-			ready = append(rest, newlyReady...)
-			if issuedAny {
-				sort.SliceStable(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
+				s.HopUnits[id] = append(s.HopUnits[id], ch)
 			}
 		}
 	}
 	// Freeze the completion profile now: schedules are shared read-only
 	// across goroutines (the binding engine's worker pool), so nothing
 	// may be lazily written after List returns.
-	s.profile = s.computeProfile()
+	s.profile = core.AppendProfile(make([]int, 0, s.L))
 	return s, nil
-}
-
-// freeUnit returns the index of a unit in pool free at the given cycle,
-// preferring the one free longest (smallest next-free time), or -1.
-func freeUnit(pool []int, cycle int) int {
-	best, bestAt := -1, cycle+1
-	for i, at := range pool {
-		if at <= cycle && at < bestAt {
-			best, bestAt = i, at
-		}
-	}
-	return best
 }
 
 // moveRoute resolves the hop list a move traverses under binding: the
@@ -669,10 +538,6 @@ func (s *Schedule) hopChannels(n *dfg.Node) []int {
 	return s.Unit[n.ID() : n.ID()+1]
 }
 
-// channelLabel names a global interconnect channel for chart rows. The
-// shared bus keeps its historical bus0, bus1, … labels; routed links use
-// the link name, suffixed with the channel index only when a link has
-// several channels.
 // LinkOccupancy returns, per interconnect link, how many hop
 // reservations the schedule holds on it — each scheduled move
 // contributes one per hop of its route. Aggregating a trace journal's
@@ -690,6 +555,10 @@ func (s *Schedule) LinkOccupancy() []int {
 	return occ
 }
 
+// channelLabel names a global interconnect channel for chart rows. The
+// shared bus keeps its historical bus0, bus1, … labels; routed links use
+// the link name, suffixed with the channel index only when a link has
+// several channels.
 func channelLabel(dp *machine.Datapath, u int) string {
 	if dp.Topology() == machine.TopoBus {
 		return fmt.Sprintf("bus%d", u)
