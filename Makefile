@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10 bench-parallel bench-alloc benchstat golden
+.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10 bench-parallel bench-smoke bench-alloc benchstat golden
 
 check: vet build test race
 
@@ -172,6 +172,12 @@ bench-json-pr10:
 # Sequential-vs-parallel engine comparison on the largest kernel.
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 3x .
+
+# One iteration of the whole-Bind engine benchmarks: BenchmarkParallelBind
+# fails unless par=2/4/8 reproduce the par=1 L/M, and BenchmarkBITERFull
+# runs the full B-ITER path. Cheap enough for every CI run.
+bench-smoke:
+	$(GO) test -run xxx -bench 'BenchmarkParallelBind$$|BenchmarkBITERFull' -benchtime 1x . ./internal/bind
 
 # Allocation comparison: materialized bind.Evaluate vs problem.Evaluator
 # on the largest kernel (DCT-DIT-2). The virtual path must stay at least

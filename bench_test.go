@@ -151,13 +151,13 @@ func BenchmarkAblation(b *testing.B) {
 
 // BenchmarkParallelBind measures the evaluation engine: the full
 // two-phase Bind (B-ITER, the paper's slowest configuration) on the
-// largest kernel across worker-pool sizes. Parallelism 1 is the exact
-// sequential pre-engine code path and the baseline the ≥2× speedup
-// target is judged against; sizes above 1 add the worker pool and the
-// memoization cache. The hitrate metric shows the fraction of candidate
-// evaluations served without rescheduling — that part of the speedup
-// materializes even on a single core, while the pool's share scales
-// with physical CPUs.
+// largest kernel across worker-pool sizes. Parallelism 1 evaluates in
+// order on the calling goroutine and is the baseline the ≥2× speedup
+// target is judged against; sizes above 1 add the worker pool. Every
+// size runs the same two-round memoization cache, so the hitrate metric
+// (the fraction of candidate evaluations served without rescheduling)
+// is the same at every size; only the pool's share of the speedup
+// scales with physical CPUs.
 func BenchmarkParallelBind(b *testing.B) {
 	g := vliwbind.KernelMust("DCT-DIT-2")
 	dp, _ := vliwbind.ParseDatapath("[3,1|2,2|1,3]", vliwbind.DatapathConfig{})

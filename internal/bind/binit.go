@@ -49,18 +49,18 @@ type Options struct {
 	// Parallelism bounds the shared worker pool that evaluates
 	// independent binding candidates: the (L_PR, direction) sweep of the
 	// B-INIT driver and each B-ITER perturbation round. Zero defaults to
-	// runtime.GOMAXPROCS(0); 1 restores the exact sequential pre-engine
-	// code path; negative values are rejected by Validate. Any setting
+	// runtime.GOMAXPROCS(0); 1 evaluates in order on the calling
+	// goroutine; negative values are rejected by Validate. Any setting
 	// produces bit-identical results — candidates are reduced in
 	// enumeration order under the same lexicographic tie-breaks, never
 	// first-goroutine-wins — so the knob trades only wall-clock time.
-	// Values above 1 additionally enable a memoization cache that never
-	// reschedules a binding seen earlier in the same run (see Stats).
+	// At every setting a memoization cache serves a binding already
+	// scored in the current or the previous B-ITER round (see Stats).
 	Parallelism int
 	// Stats, when non-nil, accumulates hit/miss/retry counters of the
-	// schedule-evaluation cache across the run. The cache (and therefore
-	// the counters) is active whenever Parallelism resolves to a value
-	// greater than 1. Safe to share across concurrent runs.
+	// schedule-evaluation cache across the run. The cache, and therefore
+	// the counters, is active at every Parallelism. Safe to share across
+	// concurrent runs.
 	Stats *CacheStats
 	// TaskRetries caps how many times the engine re-runs an evaluation
 	// task that failed transiently (a recovered panic, or an error
@@ -531,18 +531,20 @@ func initialSolutions(ctx context.Context, en *engine, opts Options) ([]solution
 	// Dedup in sweep order before scheduling, exactly as the sequential
 	// sweep did, so only distinct bindings pay for an evaluation.
 	var uniq [][]int
+	var keys []string
 	seen := make(map[string]bool)
 	for i := range configs {
 		if key := bindingKey(bns[i]); !seen[key] {
 			seen[key] = true
 			uniq = append(uniq, bns[i])
+			keys = append(keys, key)
 		}
 	}
 	en.setPhase("binit.eval")
 	recs := make([]*evalRec, len(uniq))
 	evalErrs := en.runBatch(ctx, len(uniq), func(worker, i int) error {
 		var err error
-		recs[i], err = en.evaluate(ctx, worker, uniq[i])
+		recs[i], err = en.evaluate(ctx, worker, uniq[i], keys[i])
 		return err
 	})
 	if err := sweepErr(ctx, evalErrs); err != nil {

@@ -125,12 +125,11 @@ type candidate struct {
 // operations re-bound together. Pairs are restricted to operations linked
 // by an edge or a common consumer, which is where single moves get stuck:
 // moving either op alone adds a transfer, moving both together does not.
+// A pair reachable along several links is emitted once, at its first
+// occurrence, so no two candidates yield the same binding and the
+// reduction's first-of-equals pick is unchanged.
 func perturbations(g *dfg.Graph, dp *machine.Datapath, bn []int, opts Options) []candidate {
 	bops := boundaryOps(g, bn)
-	isBoundary := make(map[int]bool, len(bops))
-	for _, v := range bops {
-		isBoundary[v.ID()] = true
-	}
 	var cands []candidate
 	if len(bops) == 0 {
 		// A move-free binding has no boundaries to perturb (possible when
@@ -157,15 +156,18 @@ func perturbations(g *dfg.Graph, dp *machine.Datapath, bn []int, opts Options) [
 	if opts.NoPairs {
 		return cands
 	}
+	emitted := make(map[[2]int]bool)
 	addPair := func(v, w *dfg.Node) {
-		if v.ID() >= w.ID() || !isBoundary[v.ID()] || !isBoundary[w.ID()] {
+		if v.ID() > w.ID() {
+			v, w = w, v
+		}
+		pair := [2]int{v.ID(), w.ID()}
+		if v == w || len(neigh[v.ID()]) == 0 || len(neigh[w.ID()]) == 0 || emitted[pair] {
 			return
 		}
+		emitted[pair] = true
 		for _, dv := range neigh[v.ID()] {
 			for _, dw := range neigh[w.ID()] {
-				if dv == bn[v.ID()] && dw == bn[w.ID()] {
-					continue
-				}
 				cands = append(cands, candidate{ids: []int{v.ID(), w.ID()}, clusters: []int{dv, dw}})
 			}
 		}
@@ -173,15 +175,11 @@ func perturbations(g *dfg.Graph, dp *machine.Datapath, bn []int, opts Options) [
 	for _, v := range bops {
 		for _, w := range v.Succs() {
 			addPair(v, w)
-			addPair(w, v)
 		}
 		// Common-consumer pairs: v and w feed the same operation.
 		for _, u := range v.Succs() {
 			for _, w := range u.Preds() {
-				if w != v {
-					addPair(v, w)
-					addPair(w, v)
-				}
+				addPair(v, w)
 			}
 		}
 	}
@@ -227,31 +225,29 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			stop(iter, "fault")
 			return cur, herr, nil
 		}
-		// Materialize this round's perturbed bindings, dropping no-ops
-		// and already-visited solutions exactly as the sequential loop
-		// did. seen is read-only for the rest of the round, so the
-		// workers never touch it.
+		// A new round: the round before last leaves the memo cache.
+		en.cache.advance()
+		// Materialize this round's perturbed bindings, dropping
+		// already-visited solutions. seen is read-only for the rest of
+		// the round, so the workers never touch it.
 		var bns [][]int
+		var keys []string
 		for _, cand := range perturbations(g, dp, cur.bn, opts) {
 			bn := append([]int(nil), cur.bn...)
-			changed := false
 			for i, id := range cand.ids {
-				if bn[id] != cand.clusters[i] {
-					bn[id] = cand.clusters[i]
-					changed = true
-				}
+				bn[id] = cand.clusters[i]
 			}
-			if !changed || seen[bindingKey(bn)] {
-				continue
+			if key := bindingKey(bn); !seen[key] {
+				bns = append(bns, bn)
+				keys = append(keys, key)
 			}
-			bns = append(bns, bn)
 		}
 		en.emit(obs.Event{Type: obs.EvIterRound, Pass: pass,
 			Round: iter + 1, Candidates: len(bns)})
 		recs := make([]*evalRec, len(bns))
 		errs := en.runBatch(ctx, len(bns), func(worker, i int) error {
 			var err error
-			recs[i], err = en.evaluate(ctx, worker, bns[i])
+			recs[i], err = en.evaluate(ctx, worker, bns[i], keys[i])
 			return err
 		})
 		bestIdx := -1
@@ -293,7 +289,7 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			L: recs[bestIdx].l, M: recs[bestIdx].m,
 			Before: curQ, After: bestQ})
 		cur, curQ = solution{bn: bns[bestIdx], rec: recs[bestIdx]}, bestQ
-		seen[bindingKey(cur.bn)] = true
+		seen[keys[bestIdx]] = true
 	}
 	stop(iter, "max-iterations")
 	return cur, nil, nil
@@ -346,8 +342,9 @@ func ImproveContext(ctx context.Context, res *Result, opts Options) (*Result, er
 // improve is Improve on an existing evaluation engine (opts already
 // defaulted). Sharing the engine across both passes means the Q_M pass's
 // first perturbation round — the very neighborhood the Q_U pass just
-// finished scoring — comes straight from the cache. Solutions stay
-// virtual throughout; the caller materializes the one it keeps.
+// finished scoring — comes straight from the cache's previous
+// generation. Solutions stay virtual throughout; the caller materializes
+// the one it keeps.
 //
 // A non-nil cause means the improvement was cut short (cancellation or
 // an isolated fault) and sol is the best solution certified before the
@@ -374,11 +371,12 @@ func improve(ctx context.Context, en *engine, sol solution, opts Options) (out s
 // Bind runs both phases: the swept greedy initial binding followed by
 // iterative improvement of the best few distinct phase-one candidates.
 // This is the paper's full B-ITER configuration. One evaluation engine —
-// shared Problem, worker pool with per-worker scratch evaluators, and
-// memoization cache, sized by Options.Parallelism — is shared across the
-// driver sweep, every improvement seed, and both improvement passes, so
-// a binding scheduled anywhere in the run is never rescheduled. Nothing
-// is materialized until the single winning binding is known.
+// shared Problem, a worker pool sized by Options.Parallelism with
+// per-worker scratch evaluators, and the memoization cache — is shared
+// across the driver sweep, every improvement seed, and both improvement
+// passes, so a binding scored in the current or the previous
+// perturbation round is served from the cache instead of rescheduled.
+// Nothing is materialized until the single winning binding is known.
 func Bind(g *dfg.Graph, dp *machine.Datapath, opts Options) (*Result, error) {
 	return BindContext(context.Background(), g, dp, opts)
 }

@@ -24,7 +24,8 @@ import (
 // other. The engine runs those batches on a size-bounded worker pool,
 // giving each worker its own problem.Evaluator (reusable scratch, no
 // bound graph materialized per candidate), and memoizes compact
-// (L, M, Q_U) records per binding. The final answer stays bit-identical
+// (L, M, Q_U) records per binding over the two most recent B-ITER
+// rounds, at every pool size. The final answer stays bit-identical
 // to the sequential code path: candidates are collected into
 // index-ordered slices and reduced in enumeration order with the same
 // lexicographic tie-breaks, never first-goroutine-wins.
@@ -111,9 +112,8 @@ func canceled(ctx context.Context, err error) bool {
 // CacheStats accumulates hit/miss counters of the schedule-evaluation
 // cache across a binding run. Hand one to Options.Stats to observe cache
 // effectiveness; all methods are safe for concurrent use. The cache is
-// active whenever Options.Parallelism resolves to a value greater than 1
-// (Parallelism 1 is the exact pre-engine sequential path, which never
-// memoized).
+// active at every Options.Parallelism, so every evaluation counts
+// exactly one hit or one miss.
 type CacheStats struct {
 	hits, misses, retries atomic.Int64
 
@@ -164,14 +164,6 @@ func (s *CacheStats) RecordStoreMiss() { s.storeMisses.Add(1) }
 // adoption or audit.
 func (s *CacheStats) RecordStoreEvict() { s.storeEvicts.Add(1) }
 
-// maxCacheEntries bounds the per-run result cache. Entries are compact
-// (L, M, Q_U) records — no bound graph, no schedule — but an unbounded
-// cache could still hold the whole history of a long improvement run;
-// past the bound, results are still computed and returned, just not
-// retained. 2^16 entries is roughly an order of magnitude above the
-// candidate count of the largest benchmark kernel's full B-ITER run.
-const maxCacheEntries = 1 << 16
-
 // Retry policy for transient task failures: up to Options.TaskRetries
 // re-runs, backing off 1ms, 2ms, 4ms… capped at 8ms, each sleep
 // abandoned early if the context ends.
@@ -196,20 +188,50 @@ type solution struct {
 	rec *evalRec
 }
 
-// recCache memoizes evaluation records by bindingKey. Guarded by a
-// plain mutex: the critical section is a map operation, vanishingly
-// small next to the list schedule a miss pays for. Two workers racing on
-// the same missing key both compute it (evaluation is deterministic, so
-// either record is THE record); one insert wins.
+// recCache memoizes evaluation records by bindingKey for two B-ITER
+// rounds: cur holds this round's records, prev the previous round's
+// (which is where the Q_M pass's first round finds the Q_U pass's last).
+// A prev hit is promoted into cur. advance, called between pool batches
+// once per round, swaps the maps and clears the new cur, so memory stays
+// one round's worth and no map is reallocated. Guarded by a plain mutex:
+// the critical section is a map operation, vanishingly small next to the
+// list schedule a miss pays for. Two workers racing on the same missing
+// key both compute it (evaluation is deterministic, so either record is
+// THE record); one insert wins.
 type recCache struct {
-	mu sync.Mutex
-	m  map[string]*evalRec
+	mu        sync.Mutex
+	cur, prev map[string]*evalRec
+}
+
+func (c *recCache) get(key string) (*evalRec, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.cur[key]
+	if !ok {
+		if r, ok = c.prev[key]; ok {
+			c.cur[key] = r
+		}
+	}
+	return r, ok
+}
+
+func (c *recCache) put(key string, r *evalRec) {
+	c.mu.Lock()
+	c.cur[key] = r
+	c.mu.Unlock()
+}
+
+func (c *recCache) advance() {
+	c.mu.Lock()
+	c.cur, c.prev = c.prev, c.cur
+	clear(c.cur)
+	c.mu.Unlock()
 }
 
 // workerPool runs batches of independent tasks on a bounded number of
-// goroutines. Size 1 degenerates to a plain in-order loop — exactly the
-// pre-parallel code path. Tasks are handed out by an atomic counter, so
-// an uneven batch keeps every worker busy until the batch drains. Each
+// goroutines. Size 1 degenerates to a plain in-order loop. Tasks are
+// handed out by an atomic counter, so an uneven batch keeps every worker
+// busy until the batch drains. Each
 // task receives the index of the worker running it, which the engine
 // uses to hand out per-worker scratch evaluators.
 //
@@ -303,12 +325,13 @@ func backoffSleep(ctx context.Context, attempt int) {
 // evaluators and the memoization cache for one binding run. Bind creates
 // a single engine and shares it across the B-INIT driver sweep, every
 // improvement seed, and both the Q_U and Q_M passes of B-ITER, so a
-// binding evaluated anywhere in the run is never rescheduled.
+// binding is not rescheduled while it is in the cache's two-round scope
+// (see recCache).
 type engine struct {
 	p          *problem.Problem
 	pool       workerPool
 	evs        []*problem.Evaluator // per-worker scratch, created lazily
-	cache      *recCache            // nil when Parallelism == 1 (pre-engine path)
+	cache      recCache             // two-round memo, active at every Parallelism
 	stats      *CacheStats          // nil unless the caller asked for counters
 	hook       func(point string)   // nil unless the caller injects faults
 	maxRetries int                  // transient-failure retries per task
@@ -331,14 +354,12 @@ func newEngine(g *dfg.Graph, dp *machine.Datapath, opts Options) (*engine, error
 		p:          p,
 		pool:       workerPool{workers: opts.Parallelism},
 		evs:        make([]*problem.Evaluator, opts.Parallelism),
+		cache:      recCache{cur: map[string]*evalRec{}, prev: map[string]*evalRec{}},
 		stats:      opts.Stats,
 		hook:       opts.Hook,
 		maxRetries: opts.TaskRetries,
 		obs:        opts.Observer,
 		kernel:     g.Name(),
-	}
-	if opts.Parallelism > 1 {
-		en.cache = &recCache{m: make(map[string]*evalRec)}
 	}
 	return en, nil
 }
@@ -477,32 +498,19 @@ func (en *engine) compute(worker int, bn []int) (*evalRec, error) {
 	return &evalRec{l: e.L, m: e.M, qu: Quality(ev.AppendQualityU(nil))}, nil
 }
 
-// evaluate is compute behind the memoization cache. Records are shared
-// and must be treated as immutable by callers. A cancelled context
-// short-circuits to its cause before any work; a failed computation is
-// never inserted into the cache, and the miss counter moves only after
-// a fully successful computation — retried tasks count once.
-func (en *engine) evaluate(ctx context.Context, worker int, bn []int) (*evalRec, error) {
+// evaluate is compute behind the memoization cache, under key =
+// bindingKey(bn). Records are shared and must be treated as immutable
+// by callers. A cancelled context short-circuits to its cause before any
+// work; a failed computation is never inserted into the cache, and the
+// miss counter moves only after a fully successful computation —
+// retried tasks count once.
+func (en *engine) evaluate(ctx context.Context, worker int, bn []int, key string) (*evalRec, error) {
 	en.fire(HookEvaluate)
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
-	if en.cache == nil {
-		r, err := en.compute(worker, bn)
-		if err != nil {
-			return nil, err
-		}
-		if en.obs != nil {
-			en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn), L: r.l, M: r.m, QU: r.qu})
-		}
-		return r, nil
-	}
-	key := bindingKey(bn)
 	en.fire(HookCacheLookup)
-	en.cache.mu.Lock()
-	r, ok := en.cache.m[key]
-	en.cache.mu.Unlock()
-	if ok {
+	if r, ok := en.cache.get(key); ok {
 		// The eval event rides right next to the counter move, so a
 		// journal's per-verdict totals always equal the CacheStats a
 		// caller reads after the run.
@@ -528,11 +536,7 @@ func (en *engine) evaluate(ctx context.Context, worker int, bn []int) (*evalRec,
 	if en.obs != nil {
 		en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn), L: r.l, M: r.m, QU: r.qu, Cache: "miss"})
 	}
-	en.cache.mu.Lock()
-	if len(en.cache.m) < maxCacheEntries {
-		en.cache.m[key] = r
-	}
-	en.cache.mu.Unlock()
+	en.cache.put(key, r)
 	return r, nil
 }
 

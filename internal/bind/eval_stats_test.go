@@ -18,9 +18,9 @@ import (
 	"vliwbind/internal/machine"
 )
 
-// statsHarness builds an engine over the EWF kernel with the cache
-// active (Parallelism 2), a two-retry budget, and the given injector at
-// the hook seam, plus two distinct valid bindings to evaluate.
+// statsHarness builds an engine over the EWF kernel at Parallelism 2, a
+// two-retry budget, and the given injector at the hook seam, plus two
+// distinct valid bindings to evaluate.
 func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*engine, []int, []int) {
 	t.Helper()
 	k, err := kernels.ByName("EWF")
@@ -36,9 +36,6 @@ func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*
 	en, err := newEngine(g, mdp, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if en.cache == nil {
-		t.Fatal("cache inactive at Parallelism 2; the test would measure nothing")
 	}
 	bnA, err := InitialOnce(g, mdp, 10, false, Options{})
 	if err != nil {
@@ -56,7 +53,7 @@ func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*
 func evalOne(t *testing.T, en *engine, bn []int) {
 	t.Helper()
 	errs := en.runBatch(context.Background(), 1, func(worker, i int) error {
-		_, err := en.evaluate(context.Background(), worker, bn)
+		_, err := en.evaluate(context.Background(), worker, bn, bindingKey(bn))
 		return err
 	})
 	if errs[0] != nil {
@@ -115,4 +112,41 @@ func TestNoPhantomHitOnRetriedCompute(t *testing.T) {
 	if got := inj.Count(HookCacheLookup); got != 3 {
 		t.Errorf("HookCacheLookup fired %d times, want 3", got)
 	}
+}
+
+// TestCacheScopeIsTwoRounds pins the memo cache's scope: a record
+// scored in round r is served in round r+1 (and promoted into that
+// round's generation), but a record last touched in round r is
+// recomputed, not served, in round r+2. Each advance stands for the
+// generation step improveWith takes at the top of every B-ITER round.
+func TestCacheScopeIsTwoRounds(t *testing.T) {
+	var stats CacheStats
+	inj := faultinject.New() // no faults: pure hit counter
+	en, bnA, bnB := statsHarness(t, inj, &stats)
+	want := func(step string, hits, misses int64) {
+		t.Helper()
+		if h, m := stats.Hits(), stats.Misses(); h != hits || m != misses {
+			t.Fatalf("%s: stats = (hits=%d, misses=%d), want (%d, %d)", step, h, m, hits, misses)
+		}
+		if got := inj.Count(HookCompute); got != misses {
+			t.Fatalf("%s: HookCompute fired %d times, want %d (one per miss)", step, got, misses)
+		}
+	}
+
+	evalOne(t, en, bnA) // round r: A scored
+	want("round r", 0, 1)
+
+	en.cache.advance()
+	evalOne(t, en, bnB) // round r+1: B scored, A left alone
+	want("round r+1", 0, 2)
+
+	en.cache.advance()
+	evalOne(t, en, bnA) // round r+2: A has aged out and is recomputed
+	want("round r+2, A", 0, 3)
+	evalOne(t, en, bnB) // B is one round old: served
+	want("round r+2, B", 1, 3)
+
+	en.cache.advance()
+	evalOne(t, en, bnB) // round r+3: B was promoted in r+2, so still served
+	want("round r+3, B", 2, 3)
 }

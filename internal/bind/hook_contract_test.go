@@ -2,12 +2,12 @@ package bind
 
 // Contract tests for the engine's named hook points: the documented
 // firing order within one evaluation, and exactly-once semantics per
-// seam across a full Bind run at Parallelism 1 (sequential pre-engine
-// path, no cache) and Parallelism 4 (pool + memoization cache). The
+// seam across a full Bind run at Parallelism 1 (in-order loop) and
+// Parallelism 4 (worker pool); both run the same memoization cache. The
 // counts that define the search — configurations swept, B-ITER rounds,
 // evaluations requested, pool tasks dispatched — must be identical at
-// both settings; only the cache seams may differ, and those must
-// reconcile exactly with CacheStats.
+// both settings, and the cache seams must reconcile exactly with
+// CacheStats at each.
 
 import (
 	"sync"
@@ -85,9 +85,10 @@ func equalSeq(a, b []string) bool {
 // TestHookCountsAcrossParallelism runs the full two-phase binder at
 // Parallelism 1 and 4 with a pure counting injector and requires (a)
 // identical results, (b) identical counts at every search-defining
-// seam, (c) cache seams silent at Parallelism 1 and exactly reconciled
-// with CacheStats at Parallelism 4, and (d) zero retries on a clean run
-// — i.e. HookPoolTask fired exactly once per dispatched task.
+// seam, (c) cache seams exactly reconciled with CacheStats at both
+// settings — the memo cache is one code path at every Parallelism — and
+// (d) zero retries on a clean run — i.e. HookPoolTask fired exactly
+// once per dispatched task.
 func TestHookCountsAcrossParallelism(t *testing.T) {
 	k, err := kernels.ByName("ARF")
 	if err != nil {
@@ -125,28 +126,23 @@ func TestHookCountsAcrossParallelism(t *testing.T) {
 		}
 	}
 
-	// Parallelism 1 is the exact pre-engine path: no cache, so the cache
-	// seams stay silent and every evaluation computes.
-	if c := inj1.Count(HookCacheLookup); c != 0 {
-		t.Errorf("par 1 fired HookCacheLookup %d times, want 0 (no cache)", c)
-	}
-	if c := inj1.Count(HookCacheInsert); c != 0 {
-		t.Errorf("par 1 fired HookCacheInsert %d times, want 0 (no cache)", c)
-	}
-	if ev, cp := inj1.Count(HookEvaluate), inj1.Count(HookCompute); ev != cp {
-		t.Errorf("par 1: %d evaluations but %d computes, want equal (uncached)", ev, cp)
-	}
-
-	// Parallelism 4: one lookup per evaluation, one insert per counted
-	// miss, and every evaluation resolves to exactly one hit or miss.
-	if ev, lk := inj4.Count(HookEvaluate), inj4.Count(HookCacheLookup); ev != lk {
-		t.Errorf("par 4: %d evaluations but %d cache lookups, want equal", ev, lk)
-	}
-	if got, want := stats4.Hits()+stats4.Misses(), inj4.Count(HookEvaluate); got != want {
-		t.Errorf("par 4: hits+misses = %d, want %d (one verdict per evaluation)", got, want)
-	}
-	if got, want := inj4.Count(HookCacheInsert), stats4.Misses(); got != want {
-		t.Errorf("par 4: %d insert firings, want %d (one per counted miss)", got, want)
+	// At both settings: one lookup per evaluation, one insert per
+	// counted miss, and every evaluation resolves to exactly one hit or
+	// miss.
+	for _, r := range []struct {
+		par   int
+		inj   *faultinject.Injector
+		stats *CacheStats
+	}{{1, inj1, stats1}, {4, inj4, stats4}} {
+		if ev, lk := r.inj.Count(HookEvaluate), r.inj.Count(HookCacheLookup); ev != lk {
+			t.Errorf("par %d: %d evaluations but %d cache lookups, want equal", r.par, ev, lk)
+		}
+		if got, want := r.stats.Hits()+r.stats.Misses(), r.inj.Count(HookEvaluate); got != want {
+			t.Errorf("par %d: hits+misses = %d, want %d (one verdict per evaluation)", r.par, got, want)
+		}
+		if got, want := r.inj.Count(HookCacheInsert), r.stats.Misses(); got != want {
+			t.Errorf("par %d: %d insert firings, want %d (one per counted miss)", r.par, got, want)
+		}
 	}
 
 	// Exactly-once per task attempt: a fault-free run retries nothing.

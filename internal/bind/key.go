@@ -27,10 +27,4 @@ func bindingKey(bn []int) string {
 // printable, stable identifier observability events carry, so a journal
 // line and a CacheStats counter refer to the same candidate by the same
 // name. Off the hot path: only emitted events pay for it.
-func keyHex(bn []int) string {
-	buf := make([]byte, len(bn))
-	for i, c := range bn {
-		buf[i] = byte(c + 1)
-	}
-	return hex.EncodeToString(buf)
-}
+func keyHex(bn []int) string { return hex.EncodeToString([]byte(bindingKey(bn))) }

@@ -3,9 +3,9 @@ package bind_test
 // Determinism tests for the parallel evaluation engine: the engine's
 // contract is that Options.Parallelism changes only wall-clock time,
 // never results. These tests compare full Bind runs at Parallelism 1
-// (the exact sequential pre-engine code path) against Parallelism 8
-// (worker pool plus memoization cache) and require identical latency,
-// move count, AND identical binding vectors — not just equal quality.
+// (an in-order loop) against Parallelism 8 (the worker pool; both run
+// the memoization cache) and require identical latency, move count,
+// AND identical binding vectors — not just equal quality.
 // The package's `make race` target runs them under the race detector,
 // which exercises the pool/cache synchronization.
 
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"vliwbind/internal/bind"
+	"vliwbind/internal/faultinject"
 	"vliwbind/internal/kernels"
 	"vliwbind/internal/leakcheck"
 	"vliwbind/internal/machine"
@@ -104,9 +105,11 @@ func TestCacheCountsHits(t *testing.T) {
 	t.Logf("cache: %d misses, %d hits", stats.Misses(), stats.Hits())
 }
 
-// TestSequentialPathBypassesCache verifies Parallelism 1 really is the
-// pre-engine code path: no cache, so no counters move.
-func TestSequentialPathBypassesCache(t *testing.T) {
+// TestSequentialPathUsesCache verifies the memo cache is one code path
+// at every Parallelism: at Parallelism 1 it serves repeat candidates,
+// renders exactly one verdict per evaluation, and leaves the binding
+// vector identical to a Parallelism 4 run.
+func TestSequentialPathUsesCache(t *testing.T) {
 	k, err := kernels.ByName("EWF")
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +120,25 @@ func TestSequentialPathBypassesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats bind.CacheStats
-	if _, err := bind.Bind(g, dp, bind.Options{Parallelism: 1, Stats: &stats}); err != nil {
+	counter := faultinject.New() // no faults: pure hit counter
+	seq, err := bind.Bind(g, dp, bind.Options{Parallelism: 1, Stats: &stats, Hook: counter.At})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Hits() != 0 || stats.Misses() != 0 {
-		t.Errorf("Parallelism 1 touched the cache: %d hits, %d misses",
-			stats.Hits(), stats.Misses())
+	if stats.Hits() == 0 {
+		t.Error("Parallelism 1 recorded no cache hits; is the cache engaged?")
+	}
+	if got, want := stats.Hits()+stats.Misses(), counter.Count(bind.HookEvaluate); got != want {
+		t.Errorf("hits+misses = %d, want %d (one verdict per evaluation)", got, want)
+	}
+	par, err := bind.Bind(g, dp, bind.Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seq.Binding {
+		if seq.Binding[i] != par.Binding[i] {
+			t.Fatalf("binding vectors diverge at node %d: par=1 %d vs par=4 %d",
+				i, seq.Binding[i], par.Binding[i])
+		}
 	}
 }

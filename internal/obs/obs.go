@@ -40,8 +40,7 @@ const (
 	// exhausted, worse, plateau-limit, max-iterations, cancelled).
 	EvIterStop = "iter.stop"
 	// EvEval records one memoized candidate evaluation: binding key,
-	// (L, M), the Q_U vector, and the cache verdict (hit, miss, or
-	// empty when the cache is inactive at Parallelism 1).
+	// (L, M), the Q_U vector, and the cache verdict (hit or miss).
 	EvEval = "eval"
 	// EvPoolBatch aggregates one worker-pool batch: task count plus
 	// total queue (submit→start) and execute nanoseconds.
@@ -124,8 +123,8 @@ type Event struct {
 	Reverse bool `json:"reverse,omitempty"`
 
 	// Key is the hex-encoded binding key of a candidate; L, M, QU carry
-	// its evaluation record. Cache is "hit", "miss", or empty when the
-	// memo cache is inactive.
+	// its evaluation record. Cache is "hit" or "miss" on an eval event
+	// and empty on every other type.
 	Key   string `json:"key,omitempty"`
 	L     int    `json:"l,omitempty"`
 	M     int    `json:"m,omitempty"`

@@ -359,11 +359,11 @@ func (s *Store) Close() error {
 }
 
 func (s *Store) putLocked(e Entry) {
-	if n := s.byKey[e.Key]; n != nil {
-		n.ent = e
-		s.unlink(n)
-		s.pushFront(n)
-		return
+	// A replaced entry gets a fresh node rather than being rewritten in
+	// place: Get hands out pointers into nodes, which callers read after
+	// the lock is released.
+	if old := s.byKey[e.Key]; old != nil {
+		s.unlink(old)
 	}
 	n := &lruNode{ent: e}
 	s.byKey[e.Key] = n
