@@ -10,8 +10,12 @@ FUZZTIME ?= 30s
 
 check: vet build test race
 
+# vet also fails on any Go file gofmt would rewrite (the benchmark's
+# build directory excepted).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -28,13 +32,15 @@ race:
 # accepts one -fuzz target per invocation, hence one line each. The
 # bind/audit harness datapath tables include ring and point-to-point
 # machines (one with multi-hop routes), so every pass here fuzzes the
-# routed-interconnect paths alongside the shared bus.
+# routed-interconnect paths alongside the shared bus. FuzzServeRequest
+# re-audits every 200 the daemon serves out of band.
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzBindRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bind -run '^$$' -fuzz '^FuzzEvaluatorDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codegen -run '^$$' -fuzz '^FuzzSpillRebind$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textio -run '^$$' -fuzz '^FuzzTextioRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textio -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME)
 
 # Fault-injection sweep for the anytime contract: the seeded chaos
 # schedules (which sweep a ring machine alongside the shared-bus ones)
@@ -144,7 +150,7 @@ bench-json-pr8:
 	@echo "wrote BENCH_pr8.json"
 
 # Served-latency trajectory for the daemon. Gates the whole HTTP stack
-# (decode, admission, store lookup, audit-on-read, response-time audit,
+# (decode, admission, store lookup, the facade's one audit of the hit,
 # encode): a request answered from the warm cross-request store must be
 # at least 4x cheaper than the same request cold-bound per call
 # (measured ~12x). The pr8 floor covered the store seam in isolation;

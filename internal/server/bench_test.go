@@ -1,8 +1,8 @@
 package server
 
 // Served-latency trajectory for BENCH_pr9.json: a warm store hit
-// through the full HTTP stack (decode, admission, store lookup,
-// audit-on-read, response-time audit, encode) versus a cold bind
+// through the full HTTP stack (decode, admission, store lookup, the
+// facade's one audit of the adopted hit, encode) versus a cold bind
 // through the same stack. The gate asserts the shared cross-request
 // tier keeps paying for itself behind the daemon's front door.
 
@@ -38,7 +38,7 @@ func serveOnce(b *testing.B, s *Server, wantSource string) {
 }
 
 // BenchmarkServeHit measures a served request answered from the warm
-// cross-request store (audited on read, re-audited at response time).
+// cross-request store (audited once, on read, by the facade).
 func BenchmarkServeHit(b *testing.B) {
 	st := vliwbind.NewMemoryStore(0)
 	s := benchServer(b, st)

@@ -19,7 +19,8 @@
 //     *bind.PanicError after its own capped retries) fails only the one
 //     request; the server retries transient faults with exponential
 //     backoff before answering 500. Every 200 carries a fresh
-//     AuditResult certificate.
+//     AuditResult certificate: the facade certifies each result once,
+//     at its single exit, so the handler never re-audits.
 //
 // Lifecycle: Drain stops admission (readyz flips to 503), lets
 // in-flight jobs finish — force-degrading them at half the drain

@@ -147,8 +147,8 @@ func TestChaosSoak(t *testing.T) {
 				}
 				clientCounts[slot].Add(1)
 				if rec.Code == http.StatusOK {
-					// The uncertified-response check: every 200 carries a
-					// response-time audit certificate and a solution.
+					// The uncertified-response check: every 200 carries the
+					// facade's audit certificate and a solution.
 					if !resp.Audited {
 						t.Errorf("request %d: 200 without audit certificate: %s", i, rec.Body)
 						failures.Add(1)

@@ -83,12 +83,19 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 	})
 
 	// Resource occupancy bookkeeping: unit busy until cycle (exclusive).
+	// Nodes are visited in issue order, so a unit's latest reservation
+	// ends every earlier one.
 	type unitKey struct {
-		cluster int // -1 for bus
+		cluster int
 		fu      dfg.FUType
 		unit    int
 	}
 	busyUntil := make(map[unitKey]int)
+	// Interconnect channels are booked per cycle instead: a later hop of
+	// a move issued earlier reserves a cycle beyond the issue cycles of
+	// moves visited after it, which may still use the channel before.
+	type chanCycle struct{ ch, cycle int }
+	chanBusy := make(map[chanCycle]bool)
 
 	trace := &Trace{}
 	readArg := func(n *dfg.Node, v dfg.Value, c, cycle int) (float64, error) {
@@ -149,11 +156,12 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 						n.Name(), h, ch, dp.LinkName(route[h]))
 				}
 				at := cycle + h*dp.MoveLat()
-				key := unitKey{-1, dfg.FUBus, ch}
-				if busyUntil[key] > at {
-					return nil, nil, fmt.Errorf("vliwsim: channel %d busy at cycle %d (move %s hop %d)", ch, at, n.Name(), h)
+				for c := at; c < at+dp.MoveDII(); c++ {
+					if chanBusy[chanCycle{ch, c}] {
+						return nil, nil, fmt.Errorf("vliwsim: channel %d busy at cycle %d (move %s hop %d)", ch, c, n.Name(), h)
+					}
+					chanBusy[chanCycle{ch, c}] = true
 				}
-				busyUntil[key] = at + dp.MoveDII()
 			}
 			vals[n.ID()] = x
 			availAt[dest][n.ID()] = cycle + lat

@@ -186,3 +186,29 @@ func TestTraceEventsComplete(t *testing.T) {
 		t.Errorf("trace has %d events for %d nodes", len(tr.Events), res.Bound.NumNodes())
 	}
 }
+
+// TestChannelReusedBeforeLaterHop: on a four-cluster ring, DCT-LEE
+// bound round-robin issues two moves in one cycle where the first (in
+// node order) crosses two links and its second hop, a cycle later, uses
+// the channel the second move takes in the issue cycle. The schedule is
+// legal, and Execute must not mistake that later hop for a booking that
+// already holds the channel when the second move issues.
+func TestChannelReusedBeforeLaterHop(t *testing.T) {
+	k, err := kernels.ByName("DCT-LEE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := k.Build()
+	dp := machine.MustParse("[1,1|1,1|1,1|1,1]@ring:1", machine.Config{})
+	bn := make([]int, g.NumNodes())
+	for i := range bn {
+		bn[i] = i % 4
+	}
+	s := scheduleFor(t, g, dp, bn)
+	if err := sched.Check(s); err != nil {
+		t.Fatalf("static check rejects the schedule: %v", err)
+	}
+	if err := Verify(s, make([]float64, g.NumInputs())); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,11 +5,13 @@ package vliwbind
 // bytes with an LRU and a journal — and the trust logic all lives here,
 // in the facade, because it needs both sides of the audit dependency:
 // internal/audit certifies bind.Results, so the bind package cannot
-// consult it, but this package sits above both. The invariant the
-// facade enforces is audit-on-read: no stored entry is ever returned to
-// a caller without passing a fresh end-to-end audit on the requesting
-// graph, so a corrupt journal, a poisoned entry, or a store bug can
-// cost at worst a cache miss, never a wrong binding.
+// consult it, but this package sits above both. Both directions go
+// through the facade's one certification exit (certify): a search
+// result is published only after it passed, and a stored entry is
+// returned only after its transplant onto the requesting graph passed
+// a fresh end-to-end audit — so a corrupt journal, a poisoned entry, or
+// a store bug can cost at worst a cache miss, never a wrong binding.
+// Either way the caller's result is audited exactly once.
 //
 // Stored entries are expressed in canonical positions (see
 // internal/store.Canonicalize), which is what makes the store
@@ -55,11 +57,12 @@ func OpenStore(dir string) (*ResultStore, error) { return store.Open(dir, 0) }
 // the process ends.
 func NewMemoryStore(max int) *ResultStore { return store.NewMemory(max) }
 
-// bindThroughStore is the store seam under every facade binder: consult
-// the store, serve an audited hit, otherwise run the search and publish
-// the result. All store activity is strictly best-effort — any failure
-// to canonicalize, fingerprint, adopt, audit, or journal degrades to
-// exactly the search that would have run with no store attached.
+// bindThroughStore is the store seam under the B-INIT and B-ITER facade
+// binders: consult the store, serve an audited hit, otherwise run the
+// (already certified) search and publish its complete result. All store
+// activity is strictly best-effort — any failure to canonicalize,
+// fingerprint, adopt, audit, or journal degrades to exactly the search
+// that would have run with no store attached.
 func bindThroughStore(g *Graph, dp *Datapath, opts Options, kind string, search func() (*Result, error)) (*Result, error) {
 	st := opts.Store
 	if st == nil {
@@ -74,36 +77,17 @@ func bindThroughStore(g *Graph, dp *Datapath, opts Options, kind string, search 
 		return search() // invalid options: ditto
 	}
 	key := store.ResultKey(kind, canon, dp, fp)
-	if ent := st.Get(key); ent != nil {
-		res, reason := adoptBound(g, dp, canon, ent, kind)
-		if reason == "" {
-			if opts.Stats != nil {
-				opts.Stats.RecordStoreHit()
-			}
-			emitStore(opts.Observer, obs.Event{Type: obs.EvStoreHit, Kernel: g.Name(),
-				Key: key.String(), L: res.L(), M: res.Moves()})
-			return res, nil
-		}
-		// The entry failed adoption or audit: it is poison for this key
-		// and must never be served again, so the eviction is journaled
-		// too. The journal-append error, if any, cannot make the served
-		// answer wrong (we fall through to a fresh search either way).
-		st.Evict(key)
-		if opts.Stats != nil {
-			opts.Stats.RecordStoreEvict()
-		}
-		emitStore(opts.Observer, obs.Event{Type: obs.EvStoreEvict, Kernel: g.Name(),
-			Key: key.String(), Err: reason})
+	if res, ok := lookup(st, key, g.Name(), opts.Stats, opts.Observer,
+		func(ent *store.Entry) (*Result, string) { return adoptBound(g, dp, canon, ent, kind) },
+		func(res *Result) (int, int) { return res.L(), res.Moves() }); ok {
+		return res, nil
 	}
-	if opts.Stats != nil {
-		opts.Stats.RecordStoreMiss()
-	}
-	emitStore(opts.Observer, obs.Event{Type: obs.EvStoreMiss, Kernel: g.Name(), Key: key.String()})
 	res, err := search()
-	if err == nil && res != nil && !res.Degraded {
-		// Degraded results are valid but not the search's full answer;
-		// publishing one would freeze an interrupted search's quality
-		// into every future hit, so only complete results are stored.
+	if err == nil && !res.Degraded {
+		// search returns only certified results. Degraded ones are valid
+		// but not the search's full answer; publishing one would freeze
+		// an interrupted search's quality into every future hit, so only
+		// complete results are stored.
 		ent := store.Entry{Key: key, Kind: kind, L: res.L(), M: res.Moves(),
 			Binding: make([]int, len(canon.Order))}
 		for k, id := range canon.Order {
@@ -112,6 +96,37 @@ func bindThroughStore(g *Graph, dp *Datapath, opts Options, kind string, search 
 		st.Put(ent)
 	}
 	return res, err
+}
+
+// lookup consults the store for key. An entry that adopt certifies is a
+// hit, returned with ok. One it rejects is poison for this key and must
+// never be served again, so it is evicted and the eviction journaled; a
+// journal-append error cannot make an answer wrong, since the caller
+// searches either way. The hit (with lm's L and M), eviction or miss is
+// counted on stats and reported to o; nil disables either.
+func lookup[T any](st *ResultStore, key store.Key, kernel string, stats *CacheStats, o Observer,
+	adopt func(*store.Entry) (T, string), lm func(T) (int, int)) (v T, ok bool) {
+	if ent := st.Get(key); ent != nil {
+		v, reason := adopt(ent)
+		if reason == "" {
+			if stats != nil {
+				stats.RecordStoreHit()
+			}
+			l, m := lm(v)
+			emitStore(o, obs.Event{Type: obs.EvStoreHit, Kernel: kernel, Key: key.String(), L: l, M: m})
+			return v, true
+		}
+		st.Evict(key)
+		if stats != nil {
+			stats.RecordStoreEvict()
+		}
+		emitStore(o, obs.Event{Type: obs.EvStoreEvict, Kernel: kernel, Key: key.String(), Err: reason})
+	}
+	if stats != nil {
+		stats.RecordStoreMiss()
+	}
+	emitStore(o, obs.Event{Type: obs.EvStoreMiss, Kernel: kernel, Key: key.String()})
+	return v, false
 }
 
 // adoptBound transplants a stored entry onto the requesting graph and
@@ -133,12 +148,9 @@ func adoptBound(g *Graph, dp *Datapath, canon *store.Canon, ent *store.Entry, ki
 		}
 		bn[id] = c
 	}
-	res, err := bind.Evaluate(g, dp, bn)
+	res, err := certify(bind.Evaluate(g, dp, bn))
 	if err != nil {
-		return nil, "re-evaluation failed: " + err.Error()
-	}
-	if err := audit.Audit(res); err != nil {
-		return nil, "audit failed: " + err.Error()
+		return nil, "re-evaluation or audit failed: " + err.Error()
 	}
 	return res, ""
 }
@@ -153,13 +165,14 @@ func emitStore(o Observer, e obs.Event) {
 // ModuloPipelineStored is ModuloPipelineContext behind the result
 // store: an isomorphic loop body with the same carried-dependence
 // structure, machine, and MaxII is served from the store after passing
-// a fresh AuditPipelined certificate, and fresh schedules are published
-// for the next request. A nil store, stats, or observer disables that
-// aspect; the schedule returned is identical either way.
+// a fresh AuditPipelined certificate, and fresh (already certified)
+// schedules are published for the next request. A nil store, stats, or
+// observer disables that aspect; the schedule returned is identical
+// either way.
 func ModuloPipelineStored(ctx context.Context, l *Loop, dp *Datapath, opts ModuloOptions,
 	st *ResultStore, stats *CacheStats, observer Observer) (*PipelinedSchedule, error) {
 	search := func() (*PipelinedSchedule, error) {
-		return modulo.PipelineContext(ctx, l, dp, opts)
+		return ModuloPipelineContext(ctx, l, dp, opts)
 	}
 	if st == nil {
 		return search()
@@ -172,30 +185,13 @@ func ModuloPipelineStored(ctx context.Context, l *Loop, dp *Datapath, opts Modul
 		return search()
 	}
 	key := store.ResultKey(store.KindModulo, canon, dp, moduloExtra(canon, l, opts))
-	kernel := l.Body.Name()
-	if ent := st.Get(key); ent != nil {
-		ps, reason := adoptModulo(l, dp, canon, ent)
-		if reason == "" {
-			if stats != nil {
-				stats.RecordStoreHit()
-			}
-			emitStore(observer, obs.Event{Type: obs.EvStoreHit, Kernel: kernel,
-				Key: key.String(), L: ps.II, M: len(ps.Moves)})
-			return ps, nil
-		}
-		st.Evict(key)
-		if stats != nil {
-			stats.RecordStoreEvict()
-		}
-		emitStore(observer, obs.Event{Type: obs.EvStoreEvict, Kernel: kernel,
-			Key: key.String(), Err: reason})
+	if ps, ok := lookup(st, key, l.Body.Name(), stats, observer,
+		func(ent *store.Entry) (*PipelinedSchedule, string) { return adoptModulo(l, dp, canon, ent) },
+		func(ps *PipelinedSchedule) (int, int) { return ps.II, len(ps.Moves) }); ok {
+		return ps, nil
 	}
-	if stats != nil {
-		stats.RecordStoreMiss()
-	}
-	emitStore(observer, obs.Event{Type: obs.EvStoreMiss, Kernel: kernel, Key: key.String()})
 	ps, err := search()
-	if err == nil && ps != nil {
+	if err == nil {
 		n := len(canon.Order)
 		ent := store.Entry{Key: key, Kind: store.KindModulo, II: ps.II,
 			Start: make([]int, n), Cluster: make([]int, n)}

@@ -18,7 +18,8 @@
 //     execution on concrete values (Execute, VerifySchedule),
 //     register-pressure reporting (RegisterPressure) and end-to-end
 //     invariant auditing (AuditResult, AuditSchedule, AuditAllocation,
-//     AuditPipelined);
+//     AuditPipelined) — every binder here returns only results that
+//     passed AuditResult, checked once at the facade's single exit;
 //   - the paper's benchmark kernels (Kernels, KernelByName) and both
 //     experiment tables (Table1, Table2, RunExperiment).
 //
@@ -211,24 +212,22 @@ func MultiObserver(sinks ...Observer) Observer { return obs.Multi(sinks...) }
 // Bind runs the full two-phase algorithm (B-INIT driver + B-ITER).
 // With Options.Store attached, an isomorphic request seen before is
 // served from the store after passing a fresh end-to-end audit, and a
-// completed search publishes its result for the next request.
+// completed search publishes its audited result for the next request.
 func Bind(g *Graph, dp *Datapath, opts Options) (*Result, error) {
-	return bindThroughStore(g, dp, opts, store.KindIter, func() (*Result, error) {
-		return bind.Bind(g, dp, opts)
-	})
+	return BindContext(context.Background(), g, dp, opts)
 }
 
 // InitialBind runs only the phase-one driver (B-INIT), the paper's fast
 // variant for compilation-time-critical use. Options.Store works as in
 // Bind; B-INIT and B-ITER results never answer each other's requests.
 func InitialBind(g *Graph, dp *Datapath, opts Options) (*Result, error) {
-	return bindThroughStore(g, dp, opts, store.KindInit, func() (*Result, error) {
-		return bind.Initial(g, dp, opts)
-	})
+	return InitialBindContext(context.Background(), g, dp, opts)
 }
 
 // ImproveBind runs the B-ITER improvement phase on an existing solution.
-func ImproveBind(res *Result, opts Options) (*Result, error) { return bind.Improve(res, opts) }
+func ImproveBind(res *Result, opts Options) (*Result, error) {
+	return ImproveBindContext(context.Background(), res, opts)
+}
 
 // EvaluateBinding derives the bound graph for an explicit cluster
 // assignment and list-schedules it.
@@ -239,38 +238,43 @@ func EvaluateBinding(g *Graph, dp *Datapath, binding []int) (*Result, error) {
 // BindPCC runs the Partial Component Clustering baseline (Desoli,
 // HPL-98-13) the paper compares against.
 func BindPCC(g *Graph, dp *Datapath, opts PCCOptions) (*Result, error) {
-	return pcc.Bind(g, dp, opts)
+	return BindPCCContext(context.Background(), g, dp, opts)
 }
 
 // Optimal exhaustively finds the best binding of a small graph
 // (branch-and-bound; guarded by maxOps, default 16).
 func Optimal(g *Graph, dp *Datapath, maxOps int) (*Result, error) {
-	return optbind.Optimal(g, dp, maxOps)
+	return OptimalContext(context.Background(), g, dp, maxOps)
 }
 
-// Anytime (context-aware) binding.
+// Certification and anytime (context-aware) binding.
 //
-// Every binder has a context variant that makes it an anytime algorithm:
-// a cancellation or deadline that lands after the binder has certified
-// at least one complete candidate returns the best solution found so
-// far, tagged Result.Degraded with the cause in Result.Budget, instead
-// of an error; a cancellation before the first complete candidate
-// returns an error wrapping context.Cause. The facade audits every
-// degraded result before releasing it, so a degraded binding carries
-// the same end-to-end certificate a complete one does. Uncancelled runs
-// are bit-identical to the plain variants.
+// Every binder result leaves the facade through certify exactly once —
+// complete, degraded or served from the store — so it carries a fresh
+// end-to-end AuditResult certificate; a result that fails the audit is
+// an error, never a binding. Each plain binder is its context twin
+// under context.Background, sharing that one exit.
+//
+// The context variants make every binder an anytime algorithm: a
+// cancellation or deadline that lands after the binder has a complete
+// candidate returns the best solution found so far, tagged
+// Result.Degraded with the cause in Result.Budget, instead of an error;
+// a cancellation before the first complete candidate returns an error
+// wrapping context.Cause. Uncancelled runs are bit-identical to the
+// plain variants.
 
-// auditDegraded certifies a budget-degraded result before it leaves the
-// facade: degradation is about how far the search got, never about the
-// legality of the binding, and auditing enforces exactly that. Complete
-// results pass through untouched — their certification lives in the
-// test and experiment layers, as before.
-func auditDegraded(res *Result, err error) (*Result, error) {
-	if err != nil || res == nil || !res.Degraded {
-		return res, err
+// auditResult is the audit certify applies; tests substitute a fake.
+var auditResult = audit.Audit
+
+// certify is the facade's single certification exit: it passes a
+// binder's error through and releases a result only once it passes the
+// audit.
+func certify(res *Result, err error) (*Result, error) {
+	if err == nil {
+		err = auditResult(res)
 	}
-	if aerr := audit.Audit(res); aerr != nil {
-		return nil, aerr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -281,7 +285,7 @@ func auditDegraded(res *Result, err error) (*Result, error) {
 // B-INIT's (L, moves) on the same input.
 func BindContext(ctx context.Context, g *Graph, dp *Datapath, opts Options) (*Result, error) {
 	return bindThroughStore(g, dp, opts, store.KindIter, func() (*Result, error) {
-		return auditDegraded(bind.BindContext(ctx, g, dp, opts))
+		return certify(bind.BindContext(ctx, g, dp, opts))
 	})
 }
 
@@ -290,38 +294,38 @@ func BindContext(ctx context.Context, g *Graph, dp *Datapath, opts Options) (*Re
 // it completes returns an error wrapping context.Cause.
 func InitialBindContext(ctx context.Context, g *Graph, dp *Datapath, opts Options) (*Result, error) {
 	return bindThroughStore(g, dp, opts, store.KindInit, func() (*Result, error) {
-		return auditDegraded(bind.InitialContext(ctx, g, dp, opts))
+		return certify(bind.InitialContext(ctx, g, dp, opts))
 	})
 }
 
 // ImproveBindContext is ImproveBind as an anytime algorithm: the input
 // result is the floor and the returned binding is never worse than it.
 func ImproveBindContext(ctx context.Context, res *Result, opts Options) (*Result, error) {
-	return auditDegraded(bind.ImproveContext(ctx, res, opts))
+	return certify(bind.ImproveContext(ctx, res, opts))
 }
 
 // BindPCCContext is BindPCC under a context; cancellation after the
 // first decomposition has been evaluated degrades to the best-so-far.
 func BindPCCContext(ctx context.Context, g *Graph, dp *Datapath, opts PCCOptions) (*Result, error) {
-	return auditDegraded(pcc.BindContext(ctx, g, dp, opts))
+	return certify(pcc.BindContext(ctx, g, dp, opts))
 }
 
 // BindAnnealContext is BindAnneal under a context; cancellation after
 // the initial partitioning degrades to the best binding observed.
 func BindAnnealContext(ctx context.Context, g *Graph, dp *Datapath, opts AnnealOptions) (*Result, error) {
-	return auditDegraded(anneal.BindContext(ctx, g, dp, opts))
+	return certify(anneal.BindContext(ctx, g, dp, opts))
 }
 
 // BindMinCutContext is BindMinCut under a context; cancellation after
 // the initial partition degrades to the current partition.
 func BindMinCutContext(ctx context.Context, g *Graph, dp *Datapath, opts MinCutOptions) (*Result, error) {
-	return auditDegraded(mincut.BindContext(ctx, g, dp, opts))
+	return certify(mincut.BindContext(ctx, g, dp, opts))
 }
 
 // OptimalContext is Optimal under a context: a cancelled search holding
 // an incumbent returns it Degraded (valid, just not proven optimal).
 func OptimalContext(ctx context.Context, g *Graph, dp *Datapath, maxOps int) (*Result, error) {
-	return auditDegraded(optbind.OptimalContext(ctx, g, dp, maxOps))
+	return certify(optbind.OptimalContext(ctx, g, dp, maxOps))
 }
 
 // LatencyLowerBound returns a latency no binding of g on dp can beat.
@@ -504,13 +508,13 @@ type (
 
 // BindAnneal runs the simulated-annealing binding baseline.
 func BindAnneal(g *Graph, dp *Datapath, opts AnnealOptions) (*Result, error) {
-	return anneal.Bind(g, dp, opts)
+	return BindAnnealContext(context.Background(), g, dp, opts)
 }
 
 // BindMinCut runs the balanced min-cut partitioning baseline; it requires
 // homogeneous clusters, as the original method does.
 func BindMinCut(g *Graph, dp *Datapath, opts MinCutOptions) (*Result, error) {
-	return mincut.Bind(g, dp, opts)
+	return BindMinCutContext(context.Background(), g, dp, opts)
 }
 
 // CutSize counts the inter-cluster dependence edges of a binding.
@@ -536,14 +540,22 @@ func ModuloMII(l *Loop, dp *Datapath) int { return modulo.MII(l, dp) }
 
 // ModuloPipeline software-pipelines a loop onto the clustered datapath.
 func ModuloPipeline(l *Loop, dp *Datapath, opts ModuloOptions) (*PipelinedSchedule, error) {
-	return modulo.Pipeline(l, dp, opts)
+	return ModuloPipelineContext(context.Background(), l, dp, opts)
 }
 
 // ModuloPipelineContext is ModuloPipeline under a context. A modulo
 // schedule has no useful partial form, so cancellation always returns
-// an error wrapping context.Cause.
+// an error wrapping context.Cause. Like every binder result, the
+// schedule is released only after it passes AuditPipelined.
 func ModuloPipelineContext(ctx context.Context, l *Loop, dp *Datapath, opts ModuloOptions) (*PipelinedSchedule, error) {
-	return modulo.PipelineContext(ctx, l, dp, opts)
+	ps, err := modulo.PipelineContext(ctx, l, dp, opts)
+	if err == nil {
+		err = audit.AuditPipelined(ps, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ps, nil
 }
 
 // ModuloCheck expands a pipelined schedule over concrete iterations and
