@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the gate every change must
 # pass: vet, full build, full test suite, and the race detector over the
 # packages with concurrency (the binding engine's worker pool and cache,
-# plus the scheduler it fans out over).
+# the scheduler it fans out over, and the explorer, whose design points
+# run on that pool).
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -24,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/bind/... ./internal/sched/... ./internal/store/... ./internal/server/... ./internal/sigctx/...
+	$(GO) test -race ./internal/bind/... ./internal/sched/... ./internal/store/... ./internal/server/... ./internal/sigctx/... ./internal/explore/...
 
 # Short fuzzing pass over every native harness (the checked-in corpora
 # under testdata/fuzz run on every plain `go test` already; this spends
@@ -45,10 +46,12 @@ fuzz-smoke:
 # Fault-injection sweep for the anytime contract: the seeded chaos
 # schedules (which sweep a ring machine alongside the shared-bus ones)
 # and every cancellation/panic-isolation test run under the race
-# detector, then the cancellation fuzzer spends FUZZTIME searching for
-# a cut point that breaks the degradation guarantees.
+# detector — the engine's and the daemon's, whose panics the engine
+# alone retries — then the cancellation fuzzer spends FUZZTIME
+# searching for a cut point that breaks the degradation guarantees.
 chaos-smoke:
 	$(GO) test -race ./internal/bind -run 'Cancel|Degrade|Panic|Retr|Stats' -count 1
+	$(GO) test -race ./internal/server -run 'Panic|Chaos' -count 1
 	$(GO) test -race ./internal/audit -run '^TestChaosSweep$$' -count 1
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzCancelAnytime$$' -fuzztime $(FUZZTIME)
 

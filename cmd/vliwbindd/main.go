@@ -52,7 +52,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigc <-chan os.Signal, ha
 	maxDeadline := fs.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
 	minBudget := fs.Duration("min-budget", 10*time.Millisecond, "smallest admissible compute budget; shorter deadlines are rejected")
 	drain := fs.Duration("drain", 5*time.Second, "drain deadline after the first SIGTERM/SIGINT")
-	retries := fs.Int("retries", 1, "server-side retries for transiently failed binds (-1 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -82,7 +81,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigc <-chan os.Signal, ha
 		MaxDeadline:     *maxDeadline,
 		MinBudget:       *minBudget,
 		DrainDeadline:   *drain,
-		RequestRetries:  *retries,
 		Store:           st,
 		Metrics:         vliwbind.NewMetrics(),
 		BindOptions:     vliwbind.Options{Parallelism: *par},

@@ -62,15 +62,6 @@ type Options struct {
 	// the counters, is active at every Parallelism. Safe to share across
 	// concurrent runs.
 	Stats *CacheStats
-	// TaskRetries caps how many times the engine re-runs an evaluation
-	// task that failed transiently (a recovered panic, or an error
-	// exposing Transient() bool == true) before surfacing the failure.
-	// Retries back off exponentially (1ms, 2ms, … capped at 8ms) and
-	// respect the run's context. Zero defaults to 2; -1 disables
-	// retries. Any other negative value is rejected by Validate — a
-	// daemon that meant "disable" but wrote -3 should hear about it at
-	// config time, not discover retries silently off under load.
-	TaskRetries int
 	// Hook, when non-nil, is called at the engine's named seams (the
 	// Hook* constants) — the worker pool, the evaluator, and the memo
 	// cache. It exists for deterministic chaos testing (see
@@ -127,9 +118,6 @@ func (o Options) Validate() error {
 	if o.Seeds < 0 {
 		return fmt.Errorf("bind: Options.Seeds is %d; want >= 0 (0 selects the default)", o.Seeds)
 	}
-	if o.TaskRetries < -1 {
-		return fmt.Errorf("bind: Options.TaskRetries is %d; want >= -1 (0 selects the default of 2, -1 disables retries)", o.TaskRetries)
-	}
 	if err := o.Store.Valid(); err != nil {
 		return fmt.Errorf("bind: Options.Store is invalid: %w", err)
 	}
@@ -138,8 +126,8 @@ func (o Options) Validate() error {
 
 // Fingerprint returns a stable byte encoding of every option that can
 // change a binding result — the request half of a cross-request store
-// key. Cost-only knobs (Parallelism, TaskRetries, Stats, Hook,
-// Observer, Store) are deliberately absent: every setting
+// key. Cost-only knobs (Parallelism, Stats, Hook, Observer,
+// Store) are deliberately absent: every setting
 // of those is documented and tested to produce bit-identical results,
 // so requests differing only there must share a key. Options are
 // defaulted first, so the zero value and an explicitly spelled-out
@@ -194,12 +182,6 @@ func (o Options) withDefaults() Options {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	case o.Parallelism < 1:
 		o.Parallelism = 1
-	}
-	switch {
-	case o.TaskRetries == 0:
-		o.TaskRetries = 2
-	case o.TaskRetries < 0:
-		o.TaskRetries = 0
 	}
 	return o
 }
@@ -433,40 +415,6 @@ func InitialContext(ctx context.Context, g *dfg.Graph, dp *machine.Datapath, opt
 		return nil, err
 	}
 	return en.materialize(sols[0])
-}
-
-// InitialCandidates runs the same sweep as Initial but returns the best
-// distinct phase-one bindings in quality order, at most opts.Seeds of
-// them. Improving several seeds instead of one lets phase two recover
-// when the single best initial solution happens to have no boundary
-// operations to perturb.
-func InitialCandidates(g *dfg.Graph, dp *machine.Datapath, opts Options) ([]*Result, error) {
-	return InitialCandidatesContext(context.Background(), g, dp, opts)
-}
-
-// InitialCandidatesContext is InitialCandidates under a context, with
-// the same all-or-nothing sweep semantics as InitialContext.
-func InitialCandidatesContext(ctx context.Context, g *dfg.Graph, dp *machine.Datapath, opts Options) ([]*Result, error) {
-	opts, err := opts.prepare()
-	if err != nil {
-		return nil, err
-	}
-	en, err := newEngine(g, dp, opts)
-	if err != nil {
-		return nil, err
-	}
-	sols, err := initialSolutions(ctx, en, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Only the handful of kept seeds pay for a materialized Result.
-	out := make([]*Result, len(sols))
-	for i, sol := range sols {
-		if out[i], err = en.materialize(sol); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // initialSolutions is the driver sweep on an existing evaluation

@@ -46,14 +46,12 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (bind.Options{}).Validate(); err != nil {
 		t.Fatalf("zero Options rejected: %v", err)
 	}
-	// Daemon-relevant combinations that must stay valid: -1 is the
-	// documented "disable retries" value, and both nil and properly
-	// constructed stores are fine.
+	// Daemon-relevant combinations that must stay valid: both nil and
+	// properly constructed stores are fine.
 	for _, ok := range []struct {
 		name string
 		opts bind.Options
 	}{
-		{"retries disabled", bind.Options{TaskRetries: -1}},
 		{"memory store", bind.Options{Store: store.NewMemory(0)}},
 	} {
 		if err := ok.opts.Validate(); err != nil {
@@ -71,7 +69,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative alpha", bind.Options{Alpha: -1}, "Alpha"},
 		{"NaN beta", bind.Options{Beta: math.NaN()}, "Beta"},
 		{"infinite gamma", bind.Options{Gamma: math.Inf(1)}, "Gamma"},
-		{"task retries below disable", bind.Options{TaskRetries: -2}, "TaskRetries"},
 		{"zero-value store", bind.Options{Store: new(store.Store)}, "Store"},
 	}
 	for _, c := range cases {
@@ -110,9 +107,6 @@ func TestPreCancelledContextReturnsCause(t *testing.T) {
 	}
 	if _, err := bind.InitialContext(ctx, g, dp, bind.Options{Parallelism: 4}); !errors.Is(err, cause) {
 		t.Errorf("InitialContext error %v does not wrap the cancellation cause", err)
-	}
-	if _, err := bind.InitialCandidatesContext(ctx, g, dp, bind.Options{Parallelism: 4}); !errors.Is(err, cause) {
-		t.Errorf("InitialCandidatesContext error %v does not wrap the cancellation cause", err)
 	}
 }
 
@@ -248,10 +242,12 @@ func TestTransientPanicIsRetriedInvisibly(t *testing.T) {
 func TestExhaustedRetriesSurfacePanicError(t *testing.T) {
 	leakcheck.Check(t)
 	g, dp := arfOn(t, "[2,1|2,1]")
-	// Hit 0 = every HookCompute call panics: retries cannot heal it and
-	// the fault must surface as a *PanicError with the stack captured.
+	var stats bind.CacheStats
+	// Hit 0 = every HookCompute call panics: the fixed retry budget
+	// cannot heal it and the fault must surface as a *PanicError with
+	// the stack captured.
 	inj := faultinject.New(faultinject.Fault{Point: bind.HookCompute, Kind: faultinject.Panic})
-	_, err := bind.Bind(g, dp, bind.Options{Parallelism: 4, Hook: inj.At})
+	_, err := bind.Bind(g, dp, bind.Options{Parallelism: 4, Hook: inj.At, Stats: &stats})
 	if err == nil {
 		t.Fatal("persistent panics produced a result")
 	}
@@ -265,20 +261,11 @@ func TestExhaustedRetriesSurfacePanicError(t *testing.T) {
 	if _, ok := pe.Value.(faultinject.PanicValue); !ok {
 		t.Errorf("PanicError.Value = %v, want the injected PanicValue", pe.Value)
 	}
-}
-
-func TestRetriesDisabledSurfaceFirstPanic(t *testing.T) {
-	leakcheck.Check(t)
-	g, dp := arfOn(t, "[2,1|2,1]")
-	var stats bind.CacheStats
-	inj := faultinject.New(faultinject.Fault{Point: bind.HookCompute, Hit: 2, Kind: faultinject.Panic})
-	_, err := bind.Bind(g, dp, bind.Options{Parallelism: 4, TaskRetries: -1, Hook: inj.At, Stats: &stats})
-	var pe *bind.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("TaskRetries<0 did not surface the panic: err=%v", err)
-	}
-	if stats.Retries() != 0 {
-		t.Errorf("retries recorded with retries disabled: %d", stats.Retries())
+	// Every failing task spent the whole fixed budget before the error
+	// surfaced: one first run plus exactly two retries, each panicking
+	// once at the compute seam — three firings per two retries.
+	if r, c := stats.Retries(), inj.Count(bind.HookCompute); r == 0 || 2*c != 3*r {
+		t.Errorf("retries=%d compute firings=%d, want two retries per failing task (3 firings per 2 retries)", r, c)
 	}
 }
 

@@ -30,15 +30,17 @@ import (
 // index-ordered slices and reduced in enumeration order with the same
 // lexicographic tie-breaks, never first-goroutine-wins.
 //
-// The engine is also the fault boundary of the binding stack. Every task
-// runs under a recover that converts a panic into a per-task *PanicError
-// with the goroutine's stack captured, so a fault in one candidate can
-// never take down the pool, leak a worker goroutine, or poison the memo
-// cache (records are inserted only after a fully successful evaluation).
-// Transient task failures are retried with capped exponential backoff,
-// and cancellation is observed between tasks: a cancelled batch drains
-// in microseconds because every undispatched task short-circuits to the
-// context's cause.
+// The engine's pool is also the one fault boundary of the whole stack:
+// the binding batches and the explorer's design points (RunTasks) all
+// run on it. Every task runs under a recover that converts a panic into
+// a per-task *PanicError with the goroutine's stack captured, so a
+// fault in one task can never take down the pool, leak a worker
+// goroutine, or poison the memo cache (records are inserted only after
+// a fully successful evaluation). A panicking evaluation is retried
+// taskRetries times with exponential backoff, and cancellation
+// is observed between tasks: a cancelled batch drains in microseconds
+// because every undispatched task short-circuits to the context's
+// cause.
 
 // Hook points of the evaluation engine, fired through Options.Hook when
 // it is set. They exist for deterministic fault injection (see
@@ -67,12 +69,12 @@ const (
 	HookCacheInsert = "bind.cache.insert"
 )
 
-// PanicError is a panic recovered from an evaluation task, converted
-// into an ordinary per-task error: the recovered value plus the stack of
-// the panicking goroutine, captured at the recovery site. The engine
-// treats panics as transient (a fault injector or a data race may well
-// not repeat) and retries them with backoff; a PanicError that reaches a
-// caller means the retries were exhausted.
+// PanicError is a panic recovered from a pool task, converted into an
+// ordinary per-task error: the recovered value plus the stack of the
+// panicking goroutine, captured at the recovery site. The engine
+// retries a panicking evaluation with backoff (a one-shot injected
+// fault does not repeat); a PanicError that reaches a binder's caller
+// means those retries were exhausted.
 type PanicError struct {
 	// Value is the value the task panicked with.
 	Value any
@@ -81,19 +83,7 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("bind: evaluation task panicked: %v", e.Value)
-}
-
-// transient reports whether err is worth retrying: recovered panics are,
-// and so is any error that exposes Transient() bool reporting true (the
-// convention fault injectors and future remote evaluators can use).
-func transient(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
+	return fmt.Sprintf("bind: task panicked: %v", e.Value)
 }
 
 // canceled reports whether err stems from ctx being cancelled — either
@@ -133,8 +123,8 @@ func (s *CacheStats) Hits() int64 { return s.hits.Load() }
 // finally succeeds, never one per attempt.
 func (s *CacheStats) Misses() int64 { return s.misses.Load() }
 
-// Retries returns how many transient task failures (recovered panics)
-// the engine re-ran with backoff.
+// Retries returns how many panicking evaluation tasks the engine re-ran
+// with backoff.
 func (s *CacheStats) Retries() int64 { return s.retries.Load() }
 
 // StoreHits returns how many requests were served from the cross-request
@@ -164,12 +154,12 @@ func (s *CacheStats) RecordStoreMiss() { s.storeMisses.Add(1) }
 // adoption or audit.
 func (s *CacheStats) RecordStoreEvict() { s.storeEvicts.Add(1) }
 
-// Retry policy for transient task failures: up to Options.TaskRetries
-// re-runs, backing off 1ms, 2ms, 4ms… capped at 8ms, each sleep
-// abandoned early if the context ends.
+// The one retry policy: a panicking evaluation task is re-run up to
+// taskRetries times, backing off exponentially from retryBaseDelay
+// (1ms, then 2ms), each sleep abandoned early if the context ends.
 const (
+	taskRetries    = 2
 	retryBaseDelay = time.Millisecond
-	retryMaxDelay  = 8 * time.Millisecond
 )
 
 // evalRec is everything the binding algorithms consume about a candidate
@@ -288,6 +278,18 @@ func (p workerPool) run(ctx context.Context, n int, task func(worker, i int) err
 	return errs
 }
 
+// RunTasks runs task(i) for i in [0, n) on the engine's worker pool with
+// at most workers goroutines (<= 1 runs in order on the caller's
+// goroutine) and returns one error slot per task. It is the fan-out
+// entry for callers above the engine, such as the explorer's design
+// points: a panicking task becomes that slot's *PanicError, and once ctx
+// ends every undispatched task's slot holds the context's cause. Tasks
+// are not retried — each one is expected to be a whole binding, whose
+// evaluations already ran under the engine's retry policy.
+func RunTasks(ctx context.Context, workers, n int, task func(i int) error) []error {
+	return workerPool{workers: workers}.run(ctx, n, func(_, i int) error { return task(i) }, nil)
+}
+
 // guard runs one task body, converting a panic into a *PanicError with
 // the panicking goroutine's stack captured. The recover happens inside
 // the worker's task loop, so the worker survives and keeps draining the
@@ -306,14 +308,10 @@ func guard(worker int, onPanic func(worker int), f func() error) (err error) {
 	return f()
 }
 
-// backoffSleep waits out one capped-exponential retry delay, returning
-// early if the context ends first.
+// backoffSleep waits out the exponential delay before retry attempt
+// (1-based), returning early if the context ends first.
 func backoffSleep(ctx context.Context, attempt int) {
-	d := retryBaseDelay << (attempt - 1)
-	if d > retryMaxDelay || d <= 0 {
-		d = retryMaxDelay
-	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(retryBaseDelay << (attempt - 1))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -328,16 +326,15 @@ func backoffSleep(ctx context.Context, attempt int) {
 // binding is not rescheduled while it is in the cache's two-round scope
 // (see recCache).
 type engine struct {
-	p          *problem.Problem
-	pool       workerPool
-	evs        []*problem.Evaluator // per-worker scratch, created lazily
-	cache      recCache             // two-round memo, active at every Parallelism
-	stats      *CacheStats          // nil unless the caller asked for counters
-	hook       func(point string)   // nil unless the caller injects faults
-	maxRetries int                  // transient-failure retries per task
-	obs        obs.Observer         // nil unless the caller observes events
-	kernel     string               // graph name, stamped on every event
-	phase      string               // current engine phase; written only
+	p      *problem.Problem
+	pool   workerPool
+	evs    []*problem.Evaluator // per-worker scratch, created lazily
+	cache  recCache             // two-round memo, active at every Parallelism
+	stats  *CacheStats          // nil unless the caller asked for counters
+	hook   func(point string)   // nil unless the caller injects faults
+	obs    obs.Observer         // nil unless the caller observes events
+	kernel string               // graph name, stamped on every event
+	phase  string               // current engine phase; written only
 	// between pool batches (the WaitGroup join orders the write against
 	// every worker read), so event emission never races on it
 }
@@ -351,15 +348,14 @@ func newEngine(g *dfg.Graph, dp *machine.Datapath, opts Options) (*engine, error
 		return nil, err
 	}
 	en := &engine{
-		p:          p,
-		pool:       workerPool{workers: opts.Parallelism},
-		evs:        make([]*problem.Evaluator, opts.Parallelism),
-		cache:      recCache{cur: map[string]*evalRec{}, prev: map[string]*evalRec{}},
-		stats:      opts.Stats,
-		hook:       opts.Hook,
-		maxRetries: opts.TaskRetries,
-		obs:        opts.Observer,
-		kernel:     g.Name(),
+		p:      p,
+		pool:   workerPool{workers: opts.Parallelism},
+		evs:    make([]*problem.Evaluator, opts.Parallelism),
+		cache:  recCache{cur: map[string]*evalRec{}, prev: map[string]*evalRec{}},
+		stats:  opts.Stats,
+		hook:   opts.Hook,
+		obs:    opts.Observer,
+		kernel: g.Name(),
 	}
 	return en, nil
 }
@@ -418,11 +414,11 @@ func (en *engine) discardScratch(worker int) {
 }
 
 // runBatch runs n independent tasks on the pool, then retries any
-// transient failures (recovered panics, injected transient errors)
-// sequentially with capped exponential backoff. Retries re-run the
-// original task closure, so a retried evaluation lands in the same
-// result slot; they run on worker 0's scratch after the pool has fully
-// drained, which keeps the per-worker-evaluator invariant intact.
+// recovered panic sequentially under the fixed policy (taskRetries,
+// exponential backoff). Retries re-run the original task
+// closure, so a retried evaluation lands in the same result slot; they
+// run on worker 0's scratch after the pool has fully drained, which
+// keeps the per-worker-evaluator invariant intact.
 //
 // Every task attempt fires HookPoolTask before its body runs (inside
 // the pool's guard, so an injected panic at that seam is an ordinary
@@ -454,7 +450,8 @@ func (en *engine) runBatch(ctx context.Context, n int, task func(worker, i int) 
 	}
 	errs := en.pool.run(ctx, n, attempt, en.discardScratch)
 	for i := range errs {
-		for a := 1; a <= en.maxRetries && transient(errs[i]); a++ {
+		var pe *PanicError
+		for a := 1; a <= taskRetries && errors.As(errs[i], &pe); a++ {
 			if ctx.Err() != nil {
 				errs[i] = context.Cause(ctx)
 				break

@@ -1,7 +1,7 @@
 package bind
 
 // White-box regression tests pinning the exact CacheStats accounting
-// under Options.TaskRetries: a retry that heals counts its miss exactly
+// under the engine's fixed retry policy: a retry that heals counts its miss exactly
 // once, and a retried compute fault never manufactures a phantom hit.
 // The engine is driven directly, one single-task batch at a time, so
 // every counter value is fully deterministic — no racing duplicate-key
@@ -18,8 +18,8 @@ import (
 	"vliwbind/internal/machine"
 )
 
-// statsHarness builds an engine over the EWF kernel at Parallelism 2, a
-// two-retry budget, and the given injector at the hook seam, plus two
+// statsHarness builds an engine over the EWF kernel at Parallelism 2
+// with the given injector at the hook seam, plus two
 // distinct valid bindings to evaluate.
 func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*engine, []int, []int) {
 	t.Helper()
@@ -29,7 +29,7 @@ func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*
 	}
 	g := k.Build()
 	mdp := machine.MustParse("[1,1|1,1]", machine.Config{})
-	opts, err := (Options{Parallelism: 2, TaskRetries: 2, Stats: stats, Hook: inj.At}).prepare()
+	opts, err := (Options{Parallelism: 2, Stats: stats, Hook: inj.At}).prepare()
 	if err != nil {
 		t.Fatal(err)
 	}

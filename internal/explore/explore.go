@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -255,6 +256,19 @@ func Explore(ctx context.Context, cfg Config) (*Result, error) {
 				Name: c.point.Spec, L: c.point.L, M: c.point.Moves, DurNs: c.point.WallNs})
 		}
 	}
+	// bindAll fans one phase's points out over the engine's worker pool.
+	// bindPoint records its own errors, so the pool's error slots hold
+	// only a panicking point's *bind.PanicError (kept: a panic is never a
+	// cancellation) or the cause of a context that ended (skipped points).
+	bindAll := func(cs []*candidate) {
+		errs := bind.RunTasks(ctx, workers, len(cs), func(i int) error { bindPoint(cs[i]); return nil })
+		for i, err := range errs {
+			var pe *bind.PanicError
+			if errors.As(err, &pe) {
+				cs[i].point.err = err
+			}
+		}
+	}
 
 	// Phase one: bind the anchors.
 	var anchors, prunables []*candidate
@@ -265,7 +279,7 @@ func Explore(ctx context.Context, cfg Config) (*Result, error) {
 			anchors = append(anchors, c)
 		}
 	}
-	fanOut(len(anchors), workers, func(i int) { bindPoint(anchors[i]) })
+	bindAll(anchors)
 
 	// Prune decisions, in enumeration order, from anchor results only.
 	var survivors []*candidate
@@ -293,7 +307,7 @@ func Explore(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Phase two: bind the survivors.
-	fanOut(len(survivors), workers, func(i int) { bindPoint(survivors[i]) })
+	bindAll(survivors)
 
 	// Assemble in enumeration order; the first real error aborts.
 	for _, c := range cands {

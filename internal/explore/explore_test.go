@@ -3,12 +3,14 @@ package explore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"vliwbind/internal/bind"
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/kernels"
+	"vliwbind/internal/leakcheck"
 	"vliwbind/internal/machine"
 	"vliwbind/internal/obs"
 )
@@ -254,6 +256,35 @@ func TestBindErrorPropagates(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("bind error not propagated: %v", err)
+	}
+}
+
+// TestPanickingPointReturnsPanicError runs the design points on the
+// engine's guarded pool: a BindFunc that panics on one point must come
+// back from Explore as that point's *bind.PanicError, with the stack
+// captured, at any Par — never as a panic on the caller's goroutine,
+// and never leaking a pool worker.
+func TestPanickingPointReturnsPanicError(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			leakcheck.Check(t)
+			_, err := Explore(context.Background(), Config{
+				Graph: chainGraph(5), ALUs: 4, MULs: 0, MaxClusters: 2, Par: par,
+				Bind: func(ctx context.Context, g *dfg.Graph, dp *machine.Datapath, opts bind.Options) (*bind.Result, error) {
+					if dp.NumClusters() == 2 && dp.NumFU(0, dfg.FUALU) == 3 {
+						panic("point fault")
+					}
+					return bind.InitialContext(ctx, g, dp, opts)
+				},
+			})
+			var pe *bind.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Explore error %v is not a *bind.PanicError", err)
+			}
+			if pe.Value != "point fault" || len(pe.Stack) == 0 {
+				t.Errorf("PanicError{Value: %v, %d stack bytes}, want the point's panic value and a stack", pe.Value, len(pe.Stack))
+			}
+		})
 	}
 }
 

@@ -127,61 +127,14 @@ func Run(r Row) (Measurement, error) { return RunWith(r, bind.Options{}) }
 // and B-ITER (PCC is unaffected). Measured (L, M) values are identical
 // at any parallelism; only the times change.
 func RunWith(r Row, opts bind.Options) (Measurement, error) {
-	k, err := kernels.ByName(r.Kernel)
-	if err != nil {
-		return Measurement{}, err
-	}
-	g := k.Build()
-	dp, err := r.Datapath()
-	if err != nil {
-		return Measurement{}, err
-	}
-	m := Measurement{Row: r}
-
-	t0 := time.Now()
-	pres, err := pcc.Bind(g, dp, pcc.Options{Observer: opts.Observer})
-	if err != nil {
-		return Measurement{}, fmt.Errorf("expt %s: pcc: %w", r.Name(), err)
-	}
-	m.PCCTime = time.Since(t0)
-	m.PCC = LM{pres.L(), pres.Moves()}
-	phaseEvent(opts.Observer, r.Name(), "pcc", m.PCCTime)
-
-	t0 = time.Now()
-	ini, err := bind.Initial(g, dp, opts)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("expt %s: b-init: %w", r.Name(), err)
-	}
-	m.InitTime = time.Since(t0)
-	m.Init = LM{ini.L(), ini.Moves()}
-	phaseEvent(opts.Observer, r.Name(), "b-init", m.InitTime)
-
-	t0 = time.Now()
-	imp, err := bind.Bind(g, dp, opts)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("expt %s: b-iter: %w", r.Name(), err)
-	}
-	m.IterTime = time.Since(t0)
-	m.Iter = LM{imp.L(), imp.Moves()}
-	phaseEvent(opts.Observer, r.Name(), "b-iter", m.IterTime)
-
-	// Certify every measured solution before reporting it: a published
-	// (L, M) pair from an illegal schedule is worse than no result.
-	// Auditing sits outside the timed sections.
-	for _, v := range []struct {
-		algo string
-		res  *bind.Result
-	}{{"pcc", pres}, {"b-init", ini}, {"b-iter", imp}} {
-		if err := audit.Audit(v.res); err != nil {
-			return Measurement{}, fmt.Errorf("expt %s: %s result failed audit: %w", r.Name(), v.algo, err)
-		}
-	}
-	return m, nil
+	return RunBudgeted(context.Background(), r, opts, 0)
 }
 
-// RunBudgeted is RunWith under a per-row time budget: the three
-// algorithms share one context that expires budget after the row starts
-// (budget <= 0 applies no per-row deadline beyond ctx's own). An
+// RunBudgeted measures PCC, B-INIT and B-ITER on the row under a
+// per-row time budget, auditing every result before its (L, M) is
+// kept: the three algorithms share one context that expires budget
+// after the row starts (budget <= 0 applies no per-row deadline beyond
+// ctx's own). An
 // algorithm whose budget expires mid-run contributes its audited
 // best-so-far (L, M) with the matching Degraded flag set; one whose
 // budget expires before it certifies any candidate contributes a zero
@@ -203,9 +156,16 @@ func RunBudgeted(ctx context.Context, r Row, opts bind.Options, budget time.Dura
 	}
 	m := Measurement{Row: r}
 
-	// record folds one algorithm's outcome into the measurement: a
-	// budget-expiry error (no candidate) is not a row failure, and every
-	// result — degraded or not — is audited before its (L, M) is kept.
+	// record times one algorithm's outcome: a budget-expiry error (no
+	// candidate) is not a row failure, and a result is held back for
+	// the audit below.
+	type outcome struct {
+		algo string
+		res  *bind.Result
+		lm   *LM
+		deg  *bool
+	}
+	var outs []outcome
 	record := func(algo string, res *bind.Result, err error, lm *LM, deg *bool, took *time.Duration, t0 time.Time) error {
 		*took = time.Since(t0)
 		phaseEvent(opts.Observer, r.Name(), algo, *took)
@@ -216,11 +176,7 @@ func RunBudgeted(ctx context.Context, r Row, opts bind.Options, budget time.Dura
 			}
 			return fmt.Errorf("expt %s: %s: %w", r.Name(), algo, err)
 		}
-		if err := audit.Audit(res); err != nil {
-			return fmt.Errorf("expt %s: %s result failed audit: %w", r.Name(), algo, err)
-		}
-		*lm = LM{res.L(), res.Moves()}
-		*deg = res.Degraded
+		outs = append(outs, outcome{algo, res, lm, deg})
 		return nil
 	}
 
@@ -241,25 +197,18 @@ func RunBudgeted(ctx context.Context, r Row, opts bind.Options, budget time.Dura
 	if err := record("b-iter", imp, err, &m.Iter, &m.IterDegraded, &m.IterTime, t0); err != nil {
 		return Measurement{}, err
 	}
-	return m, nil
-}
 
-// RunAllBudgeted measures a set of rows in order, each under its own
-// budget. A ctx that expires outright stops the sweep and returns the
-// rows measured so far along with ctx's cause.
-func RunAllBudgeted(ctx context.Context, rows []Row, opts bind.Options, budget time.Duration) ([]Measurement, error) {
-	out := make([]Measurement, 0, len(rows))
-	for _, r := range rows {
-		if ctx.Err() != nil {
-			return out, context.Cause(ctx)
+	// Certify every result, degraded or not, before its (L, M) is kept.
+	// Auditing sits outside the timed sections, so its garbage is not
+	// collected on a later algorithm's clock.
+	for _, o := range outs {
+		if err := audit.Audit(o.res); err != nil {
+			return Measurement{}, fmt.Errorf("expt %s: %s result failed audit: %w", r.Name(), o.algo, err)
 		}
-		m, err := RunBudgeted(ctx, r, opts, budget)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, m)
+		*o.lm = LM{o.res.L(), o.res.Moves()}
+		*o.deg = o.res.Degraded
 	}
-	return out, nil
+	return m, nil
 }
 
 // RunAll measures a set of rows in order.

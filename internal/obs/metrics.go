@@ -98,8 +98,6 @@ func (m *Metrics) Event(e Event) {
 			m.Inc("cache.hits", 1)
 		case "miss":
 			m.Inc("cache.misses", 1)
-		default:
-			m.Inc("cache.uncached", 1)
 		}
 	case EvSweepConfig:
 		m.Inc("sweep.configs", 1)

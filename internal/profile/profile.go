@@ -15,6 +15,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
@@ -63,6 +64,15 @@ type Set struct {
 	// committed dedups transfers by (producer, destination cluster): a
 	// value moved to a cluster once is available to every consumer there.
 	committed map[[2]int]bool
+	// BusCost scratch, reused across calls: tent[l][tau] is the
+	// tentative load of the call stamped gen[l][tau] == stamp, touched
+	// lists those (l, tau) in first-touch order, and seen the
+	// (producer, destination) pairs the call has counted.
+	tent    [][]float64
+	gen     [][]uint32
+	stamp   uint32
+	touched [][2]int
+	seen    [][2]int
 }
 
 // New builds the profile set for graph g on datapath dp with load-profile
@@ -84,9 +94,13 @@ func New(g *dfg.Graph, dp *machine.Datapath, lpr int) (*Set, error) {
 		cluster:   make([][dfg.NumFUTypes][]float64, dp.NumClusters()),
 		bus:       make([][]float64, dp.NumLinks()),
 		committed: make(map[[2]int]bool),
+		tent:      make([][]float64, dp.NumLinks()),
+		gen:       make([][]uint32, dp.NumLinks()),
 	}
 	for l := range s.bus {
 		s.bus[l] = make([]float64, times.L)
+		s.tent[l] = make([]float64, times.L)
+		s.gen[l] = make([]uint32, times.L)
 	}
 	for t := 1; t < dfg.NumFUTypes; t++ {
 		s.central[t] = make([]float64, s.L)
@@ -190,7 +204,9 @@ func (s *Set) FUCost(v *dfg.Node, c int) int {
 // given new transfers: the number of profile steps at which the bus load,
 // including the tentative transfers, exceeds full utilization. Transfers
 // already committed for the same (producer, destination) pair are skipped,
-// mirroring move dedup in the bound graph.
+// mirroring move dedup in the bound graph. The tentative loads live in
+// the set's scratch, so BusCost allocates nothing once warm; like the
+// other methods it is not safe for concurrent use.
 func (s *Set) BusCost(trs []Transfer) int {
 	if s.dp.NumBuses() == 0 {
 		if len(trs) == 0 {
@@ -198,14 +214,20 @@ func (s *Set) BusCost(trs []Transfer) int {
 		}
 		return s.L + 1
 	}
-	tentative := make(map[[2]int]float64)
-	seen := make(map[[2]int]bool, len(trs))
+	s.stamp++
+	if s.stamp == 0 { // wrapped: no stale stamp may match
+		for l := range s.gen {
+			clear(s.gen[l])
+		}
+		s.stamp = 1
+	}
+	s.touched, s.seen = s.touched[:0], s.seen[:0]
 	for _, tr := range trs {
 		key := [2]int{tr.Prod.ID(), tr.Dest}
-		if s.committed[key] || seen[key] {
+		if s.committed[key] || slices.Contains(s.seen, key) {
 			continue
 		}
-		seen[key] = true
+		s.seen = append(s.seen, key)
 		lo, hi, w := s.transferFrame(tr)
 		for h, l := range s.transferRoute(tr) {
 			chans := float64(s.dp.LinkCapacity(l))
@@ -215,13 +237,17 @@ func (s *Set) BusCost(trs []Transfer) int {
 				if at >= s.L {
 					at = s.L - 1
 				}
-				tentative[[2]int{l, at}] += w / chans
+				if s.gen[l][at] != s.stamp {
+					s.gen[l][at], s.tent[l][at] = s.stamp, 0
+					s.touched = append(s.touched, [2]int{l, at})
+				}
+				s.tent[l][at] += w / chans
 			}
 		}
 	}
 	cost := 0
-	for k, add := range tentative {
-		if s.bus[k[0]][k[1]]+add > 1+eps {
+	for _, k := range s.touched {
+		if s.bus[k[0]][k[1]]+s.tent[k[0]][k[1]] > 1+eps {
 			cost++
 		}
 	}
@@ -274,8 +300,5 @@ func (s *Set) ClusterLoad(c int, t dfg.FUType, tau int) float64 { return s.clust
 
 // BusLoad returns the committed normalized load of link 0 at step tau —
 // on the shared bus, the paper's bus profile. Routed topologies have
-// one profile per link; see LinkLoad.
+// one profile per link.
 func (s *Set) BusLoad(tau int) float64 { return s.bus[0][tau] }
-
-// LinkLoad returns the committed normalized load of link l at step tau.
-func (s *Set) LinkLoad(l, tau int) float64 { return s.bus[l][tau] }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"vliwbind/internal/dfg"
@@ -227,6 +228,73 @@ func TestBusCostDedupsWithinCandidate(t *testing.T) {
 	}
 	if c := s.BusCost(trs); c != 0 {
 		t.Errorf("deduped BusCost = %d, want 0", c)
+	}
+}
+
+// busCostRef is BusCost's definition with freshly made maps, the form
+// it had before its tentative loads moved into the set's scratch.
+func busCostRef(s *Set, trs []Transfer) int {
+	tentative := map[[2]int]float64{}
+	seen := map[[2]int]bool{}
+	for _, tr := range trs {
+		key := [2]int{tr.Prod.ID(), tr.Dest}
+		if s.committed[key] || seen[key] {
+			continue
+		}
+		seen[key] = true
+		lo, hi, w := s.transferFrame(tr)
+		for h, l := range s.transferRoute(tr) {
+			for tau := lo; tau <= hi; tau++ {
+				at := min(tau+h*s.dp.MoveLat(), s.L-1)
+				tentative[[2]int{l, at}] += w / float64(s.dp.LinkCapacity(l))
+			}
+		}
+	}
+	cost := 0
+	for k, add := range tentative {
+		if s.bus[k[0]][k[1]]+add > 1+eps {
+			cost++
+		}
+	}
+	return cost
+}
+
+func TestBusCostScratchMatchesReference(t *testing.T) {
+	// Random candidate transfer sets, interleaved with commits, on the
+	// shared bus and on a multi-hop ring: the scratch reused across
+	// calls must never leak one call's load into the next.
+	g := ladder(6, 4)
+	nodes := g.Nodes()
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, dp := range []*machine.Datapath{
+		machine.MustParse("[1,1|1,1|1,1]", machine.Config{NumBuses: 1}),
+		machine.MustParse("[1,1|1,1|1,1|1,1|1,1]", machine.Config{Topology: "ring", MoveLat: 2}),
+	} {
+		s, err := New(g, dp, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 0; call < 500; call++ {
+			var trs []Transfer
+			for range rng.IntN(5) {
+				var prod, cons *dfg.Node
+				for cons == nil {
+					prod = nodes[rng.IntN(len(nodes))]
+					if succs := prod.Succs(); len(succs) > 0 {
+						cons = succs[rng.IntN(len(succs))]
+					}
+				}
+				src := rng.IntN(dp.NumClusters())
+				dst := (src + 1 + rng.IntN(dp.NumClusters()-1)) % dp.NumClusters()
+				trs = append(trs, Transfer{Prod: prod, Cons: cons, Src: src, Dest: dst})
+			}
+			if got, want := s.BusCost(trs), busCostRef(s, trs); got != want {
+				t.Fatalf("%s call %d: BusCost = %d, reference %d", dp, call, got, want)
+			}
+			if call%7 == 0 {
+				s.CommitTransfers(trs)
+			}
+		}
 	}
 }
 

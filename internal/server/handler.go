@@ -200,28 +200,13 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 		opts.Observer = s.cfg.Metrics
 	}
 
-	// Fault containment: the engine already retries transient task
-	// faults internally; if a fault still escapes (PanicError), re-run
-	// the whole bind a capped number of times with exponential backoff
-	// before conceding a 500. Faults never escape as panics here —
-	// only as errors on this one request.
+	// Fault containment is the engine's: its pool turns a worker panic
+	// into a *bind.PanicError and retries it under its fixed policy.
+	// A fault that outlives those retries arrives here as an error and
+	// fails this one request with a 500 — never as a panic, and never
+	// re-run.
 	start := time.Now()
-	var res *vliwbind.Result
-	backoff := time.Millisecond
-	for attempt := 0; ; attempt++ {
-		res, err = runBind(ctx, algo, g, dp, opts)
-		if err == nil || attempt >= s.cfg.RequestRetries || !transientFault(err) || ctx.Err() != nil {
-			break
-		}
-		s.cfg.Logf("bind: transient fault (attempt %d/%d), retrying in %v: %v", attempt+1, s.cfg.RequestRetries, backoff, err)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-		}
-		if backoff < 8*time.Millisecond {
-			backoff *= 2
-		}
-	}
+	res, err := runBind(ctx, algo, g, dp, opts)
 	elapsed := time.Since(start)
 
 	if err != nil {

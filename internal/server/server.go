@@ -15,12 +15,11 @@
 //     anytime path: the response is tagged "degraded" with the reason,
 //     never silently worse and never uncertified.
 //
-//   - Fault containment. A worker panic (surfaced by the engine pool as
-//     *bind.PanicError after its own capped retries) fails only the one
-//     request; the server retries transient faults with exponential
-//     backoff before answering 500. Every 200 carries a fresh
-//     AuditResult certificate: the facade certifies each result once,
-//     at its single exit, so the handler never re-audits.
+//   - Fault containment. A worker panic that outlives the engine pool's
+//     own fixed retries (surfaced as *bind.PanicError) fails only the
+//     one request, with a 500. Every 200 carries a fresh AuditResult
+//     certificate: the facade certifies each result once, at its
+//     single exit, so the handler never re-audits.
 //
 // Lifecycle: Drain stops admission (readyz flips to 503), lets
 // in-flight jobs finish — force-degrading them at half the drain
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"vliwbind"
-	"vliwbind/internal/bind"
 )
 
 // Outcome classification: every response the server writes is exactly
@@ -85,10 +83,6 @@ type Config struct {
 	// InitialCost seeds the EWMA per-bind cost estimate before any
 	// bind has completed. Zero defaults to 25ms.
 	InitialCost time.Duration
-	// RequestRetries caps server-side re-runs of a bind that failed
-	// transiently (recovered panic), on top of the engine's own
-	// per-task retries. Zero defaults to 1; negative disables.
-	RequestRetries int
 	// Store, when non-nil, is the shared cross-request result tier;
 	// repeated (isomorphic) requests are served from audited hits.
 	// Drain compacts and flushes its journal.
@@ -132,11 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InitialCost == 0 {
 		c.InitialCost = 25 * time.Millisecond
-	}
-	if c.RequestRetries == 0 {
-		c.RequestRetries = 1
-	} else if c.RequestRetries < 0 {
-		c.RequestRetries = 0
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -242,9 +231,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Draining reports whether Drain has begun (admission is closed).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain closes admission, waits for in-flight requests — giving them
 // half the drain deadline to finish at full quality, then cancelling
 // them onto the audited anytime path for the rest — and finally
@@ -331,18 +317,6 @@ func (s *Server) predictWait(depth int64) time.Duration {
 		ahead = 0
 	}
 	return time.Duration(ahead) * s.ewma() / time.Duration(s.cfg.Workers)
-}
-
-// transientFault reports whether err is worth a server-side re-run: a
-// contained worker panic (the engine already exhausted its per-task
-// retries) or an error that self-identifies as transient.
-func transientFault(err error) bool {
-	var pe *bind.PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
 }
 
 // defaultWorkers mirrors the engine's default parallelism source.

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,17 +167,17 @@ func TestClientBudgetDegradesButStaysAudited(t *testing.T) {
 
 func TestPanicContainedAndRetriedServerSide(t *testing.T) {
 	leakcheck.Check(t)
-	// Engine-level retries off (-1): the injected panic escapes the
-	// pool as a *bind.PanicError, and only the server-side re-run
-	// heals it.
+	// One injected evaluator panic: the engine pool recovers it and
+	// its fixed retry policy re-runs the task, so the request succeeds
+	// without the server re-running anything.
 	inj := faultinject.New(faultinject.Fault{Point: bind.HookCompute, Hit: 1, Kind: faultinject.Panic})
 	s := newTestServer(t, Config{
 		Hook:        inj.At,
-		BindOptions: vliwbind.Options{TaskRetries: -1, Parallelism: 2},
+		BindOptions: vliwbind.Options{Parallelism: 2},
 	})
 	rec, resp := postBind(t, s, arfJob)
 	if rec.Code != http.StatusOK || resp.Outcome != OutcomeOK {
-		t.Fatalf("status=%d outcome=%q, want the server-side retry to heal the panic (body %s)", rec.Code, resp.Outcome, rec.Body)
+		t.Fatalf("status=%d outcome=%q, want the engine's retry to heal the panic (body %s)", rec.Code, resp.Outcome, rec.Body)
 	}
 	if inj.Fired() != 1 {
 		t.Fatalf("injector fired %d faults, want 1", inj.Fired())
@@ -185,17 +186,18 @@ func TestPanicContainedAndRetriedServerSide(t *testing.T) {
 
 func TestPanicFailsOnlyThatRequest(t *testing.T) {
 	leakcheck.Check(t)
-	// Every compute of the first request panics; with server retries
-	// disabled the request must fail 5xx — and the next request on the
-	// same server must succeed untouched.
-	inj := faultinject.New(
-		faultinject.Fault{Point: bind.HookCompute, Hit: 1, Kind: faultinject.Panic},
-		faultinject.Fault{Point: bind.HookCompute, Hit: 2, Kind: faultinject.Panic},
-	)
+	// Every compute of the first request panics, so the engine's fixed
+	// retry budget runs out and the request must fail 5xx — and the
+	// next request on the same server must succeed untouched.
+	var broken atomic.Bool
+	broken.Store(true)
 	s := newTestServer(t, Config{
-		Hook:           inj.At,
-		RequestRetries: -1,
-		BindOptions:    vliwbind.Options{TaskRetries: -1, Parallelism: 2},
+		Hook: func(point string) {
+			if point == bind.HookCompute && broken.Load() {
+				panic("injected evaluator fault")
+			}
+		},
+		BindOptions: vliwbind.Options{Parallelism: 2},
 	})
 	rec, resp := postBind(t, s, arfJob)
 	if rec.Code != http.StatusInternalServerError || resp.Outcome != OutcomeFailed {
@@ -204,6 +206,7 @@ func TestPanicFailsOnlyThatRequest(t *testing.T) {
 	if !strings.Contains(resp.Error, "panic") {
 		t.Errorf("error %q does not surface the contained panic", resp.Error)
 	}
+	broken.Store(false)
 	rec, resp = postBind(t, s, arfJob)
 	if rec.Code != http.StatusOK || resp.Outcome != OutcomeOK {
 		t.Fatalf("request after a contained panic: status=%d outcome=%q, want 200 ok", rec.Code, resp.Outcome)

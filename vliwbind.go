@@ -164,10 +164,11 @@ type (
 	PCCOptions = pcc.Options
 	// Quality is a lexicographic quality vector (Q_U / Q_M).
 	Quality = bind.Quality
-	// CacheStats exposes hit/miss counters of the schedule-evaluation
-	// memoization cache; hand one to Options.Stats. The cache (and the
-	// evaluation worker pool) activate when Options.Parallelism resolves
-	// to more than 1; results are bit-identical at any setting.
+	// CacheStats exposes hit/miss/retry counters of the
+	// schedule-evaluation memoization cache; hand one to Options.Stats.
+	// The cache is active at every Options.Parallelism (the worker pool
+	// only spawns goroutines above 1); results are bit-identical at any
+	// setting.
 	CacheStats = bind.CacheStats
 )
 
